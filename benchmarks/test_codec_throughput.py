@@ -32,7 +32,7 @@ def test_codec_throughput_smoke(once):
     assert micro["decode_speedup"] > 1.0
     assert micro["bytes_per_frame_compiled"] < micro["bytes_per_frame_reflective"]
 
-    # E2E guardrails: negotiation alone (fault batching walks an
+    # E2E guardrails: the codec announcement alone (fault batching walks an
     # object-reference graph, so nothing compiles there) must be noise,
     # and the all-scalar delta-sync workload must not get slower or
     # fatter on the wire.

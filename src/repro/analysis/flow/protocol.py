@@ -5,8 +5,8 @@ local use → ``updateMember`` (splice the replica into its demanders) →
 ``put`` (write back).  The analyzer recovers the protocol events a
 function performs from its RMI call sites:
 
-* ``endpoint.invoke(ref, "verb", args)`` / ``invoke_oneway`` with a
-  literal verb;
+* ``endpoint.invoke(ref, "verb", args)`` / ``invoke_async`` /
+  ``invoke_oneway`` with a literal verb;
 * ``endpoint.invoke_batch(site, calls)`` where ``calls`` contains
   literal ``(ref, "verb", args)`` triples;
 * a call to a function named ``splice`` or ``updateMember`` counts as
@@ -38,7 +38,7 @@ from repro.analysis.flow.callgraph import CallGraph
 from repro.analysis.flow.symbols import FunctionInfo, SymbolTable
 
 #: RMI entry points whose literal second argument is a protocol verb.
-_INVOKE_METHODS = frozenset({"invoke", "invoke_oneway"})
+_INVOKE_METHODS = frozenset({"invoke", "invoke_async", "invoke_oneway"})
 
 #: Verbs that acquire replica state (delegated to the contract so the
 #: delta-sync verbs stay in lockstep with the runtime).
@@ -193,7 +193,7 @@ def verb_events_of(func: FunctionInfo) -> list[VerbEvent]:
     """The protocol verbs ``func`` issues, as the analyzer sees them.
 
     Public wrapper over event extraction for consumers outside the flow
-    rules (the wire layer's spec extractor and OBI304)."""
+    rules (the wire layer's spec extractor)."""
     return list(_extract_events(func))
 
 

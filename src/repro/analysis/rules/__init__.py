@@ -35,7 +35,6 @@ from repro.analysis.wire.rules import (
     TagCollisionRule,
     UnencodableWireFieldRule,
     UnguardedWidenedTupleRule,
-    VerbWithoutFallbackRule,
     WireBaselineDriftRule,
 )
 
@@ -66,7 +65,6 @@ def build_rules() -> list[Rule]:
         TagCollisionRule(),
         WireBaselineDriftRule(),
         UnencodableWireFieldRule(),
-        VerbWithoutFallbackRule(),
         UnguardedWidenedTupleRule(),
         SchemaInputDriftRule(),
         # Reactor-discipline rules (see repro.simnet.reactor).

@@ -10,8 +10,8 @@ agree — yet nothing in the codebase said so until now.
 
 This package extracts all four into one canonical, fingerprinted spec
 (:mod:`~repro.analysis.wire.spec`), diffs two specs for breaking changes
-(:mod:`~repro.analysis.wire.diff`), and enforces evolution rules
-OBI301–OBI306 through the ordinary obilint engine
+(:mod:`~repro.analysis.wire.diff`), and enforces the OBI3xx evolution
+rules through the ordinary obilint engine
 (:mod:`~repro.analysis.wire.rules`).  The ``obiwire`` CLI
 (:mod:`~repro.analysis.wire.cli`) generates the spec, compares it
 against the committed ``.github/wire-baseline.json``, and reports
@@ -20,7 +20,7 @@ breaking changes between any two spec files.
 
 from repro.analysis.wire.diff import Change, diff_specs, render_diff
 from repro.analysis.wire.extract import Extraction, extract_modules, spec_of
-from repro.analysis.wire.spec import WireClass, WireField, WireSpec, WireVerb
+from repro.analysis.wire.spec import WireClass, WireField, WireSpec
 
 __all__ = [
     "Change",
@@ -28,7 +28,6 @@ __all__ = [
     "WireClass",
     "WireField",
     "WireSpec",
-    "WireVerb",
     "diff_specs",
     "extract_modules",
     "render_diff",

@@ -3,10 +3,9 @@
 The evolution rules (docs/WIRE.md) boil down to: the wire surface is
 append-only.  Tags keep their values forever; a class's committed field
 prefix keeps its order; new fields join as a *guarded optional tail*;
-verbs are never removed while any peer may still issue them, and new
-verbs ship with a fallback edge.  ``diff_specs`` classifies every
-difference between OLD and NEW against those rules — ``breaking`` means
-a mixed-version deployment can misparse a frame or dead-end an RPC;
+verbs are never removed.  ``diff_specs`` classifies every difference
+between OLD and NEW against those rules — ``breaking`` means a frame or
+an RPC of the OLD contract no longer means the same thing;
 ``compatible`` is the blessed evolution path.
 """
 
@@ -95,8 +94,7 @@ def _diff_tags(old: WireSpec, new: WireSpec) -> list[Change]:
                     COMPATIBLE,
                     "tag-added",
                     name,
-                    f"new tag 0x{new.tags[name]:02x}; emit it only to peers "
-                    "that negotiated it",
+                    f"new tag 0x{new.tags[name]:02x}",
                 )
             )
     return changes
@@ -123,7 +121,7 @@ def _diff_classes(old: WireSpec, new: WireSpec) -> list[Change]:
                     COMPATIBLE,
                     "class-added",
                     wire_name,
-                    "new frame type; send it only on negotiated paths",
+                    "new frame type",
                 )
             )
     return changes
@@ -203,36 +201,10 @@ def _diff_one_class(wire_name: str, old: WireSpec, new: WireSpec) -> list[Change
 
 def _diff_verbs(old: WireSpec, new: WireSpec) -> list[Change]:
     changes: list[Change] = []
-    for verb in sorted(old.verbs):
-        if verb not in new.verbs:
-            changes.append(
-                Change(
-                    BREAKING,
-                    "verb-removed",
-                    verb,
-                    "peers running the old build still issue it",
-                )
-            )
-    for verb in sorted(new.verbs):
-        if verb not in old.verbs:
-            entry = new.verbs[verb]
-            if entry.seed or entry.fallbacks:
-                detail = (
-                    "seed verb"
-                    if entry.seed
-                    else f"fallbacks: {', '.join(entry.fallbacks)}"
-                )
-                changes.append(
-                    Change(COMPATIBLE, "verb-added", verb, detail)
-                )
-            else:
-                changes.append(
-                    Change(
-                        BREAKING,
-                        "verb-without-fallback",
-                        verb,
-                        "new verb with no probe or NeedFull downgrade path "
-                        "(see OBI304)",
-                    )
-                )
+    for verb in sorted(set(old.verbs) - set(new.verbs)):
+        changes.append(
+            Change(BREAKING, "verb-removed", verb, "callers of the old contract still issue it")
+        )
+    for verb in sorted(set(new.verbs) - set(old.verbs)):
+        changes.append(Change(COMPATIBLE, "verb-added", verb, "new verb"))
     return changes

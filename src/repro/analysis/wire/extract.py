@@ -18,13 +18,9 @@ alike):
   getter records ``F`` as its own emission guard — the only-widen-when-
   set discipline ``ReplicationMode`` and ``InvokeRequest`` follow;
 * **verbs** — every literal RMI verb the flow layer sees
-  (:func:`repro.analysis.flow.protocol.verb_events_of`), with its
-  fallback edges: the invoke sits inside a
-  :func:`repro.core.negotiation.probe` call (``probe:<capability>``)
-  and/or the enclosing function checks ``isinstance(x, NeedFull)``
-  (``need_full``).
+  (:func:`repro.analysis.flow.protocol.verb_events_of`).
 
-The located intermediate (:class:`Extraction`) feeds rules OBI301–306;
+The located intermediate (:class:`Extraction`) feeds the wire rules;
 :func:`spec_of` collapses it into the canonical :class:`WireSpec`.
 """
 
@@ -34,11 +30,10 @@ import ast
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.analysis.contract import SEED_WIRE_VERBS
 from repro.analysis.flow.protocol import verb_events_of
-from repro.analysis.flow.symbols import FunctionInfo, SymbolTable
+from repro.analysis.flow.symbols import SymbolTable
 from repro.analysis.visitor import dotted_name
-from repro.analysis.wire.spec import WireClass, WireField, WireSpec, WireVerb
+from repro.analysis.wire.spec import WireClass, WireField, WireSpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.analysis.engine import ModuleSource
@@ -94,25 +89,13 @@ class RegisteredClass:
 
 
 @dataclass
-class VerbSite:
-    verb: str
-    func: FunctionInfo
-    node: ast.AST
-    fallbacks: frozenset[str]
-
-    @property
-    def seed(self) -> bool:
-        return self.verb in SEED_WIRE_VERBS
-
-
-@dataclass
 class Extraction:
     """Everything the wire passes found, with source locations."""
 
     modules: list["ModuleSource"]
     tag_tables: list[TagTable]
     classes: list[RegisteredClass]
-    verb_sites: list[VerbSite]
+    verbs: frozenset[str]
 
     @classmethod
     def build(
@@ -124,10 +107,10 @@ class Extraction:
         registered: list[RegisteredClass] = []
         for module in modules:
             registered.extend(_registrations_of(module))
-        sites = _verb_sites_of(symtab)
-        return cls(
-            modules=modules, tag_tables=tables, classes=registered, verb_sites=sites
+        verbs = frozenset(
+            event.verb for func in symtab.functions for event in verb_events_of(func)
         )
+        return cls(modules=modules, tag_tables=tables, classes=registered, verbs=verbs)
 
     @classmethod
     def of(cls, modules: list["ModuleSource"], cache: dict) -> "Extraction":
@@ -423,69 +406,6 @@ def _guard_attrs(getter: ast.FunctionDef, base: str) -> set[str]:
 
 
 # ----------------------------------------------------------------------
-# verbs
-# ----------------------------------------------------------------------
-def _callee_tail(node: ast.expr) -> str | None:
-    name = dotted_name(node)
-    return name.rsplit(".", 1)[-1] if name is not None else None
-
-
-def _capability_name(node: ast.expr) -> str:
-    """``DELTA_SYNC`` / ``negotiation.COMPILED_CODEC`` → lower-cased name."""
-    tail = _callee_tail(node)
-    if tail is not None:
-        return tail.lower()
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return ast.unparse(node)
-
-
-def _checks_need_full(func_node: ast.AST) -> bool:
-    for node in ast.walk(func_node):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id == "isinstance"
-            and len(node.args) == 2
-            and _callee_tail(node.args[1]) == "NeedFull"
-        ):
-            return True
-    return False
-
-
-def _verb_sites_of(symtab: SymbolTable) -> list[VerbSite]:
-    sites: list[VerbSite] = []
-    for func in symtab.functions:
-        events = verb_events_of(func)
-        if not events:
-            continue
-        probes = [
-            node
-            for node in ast.walk(func.node)
-            if isinstance(node, ast.Call)
-            and _callee_tail(node.func) == "probe"
-            and len(node.args) >= 3
-        ]
-        need_full = _checks_need_full(func.node)
-        for event in events:
-            fallbacks: set[str] = set()
-            for probe_call in probes:
-                if any(n is event.node for n in ast.walk(probe_call)):
-                    fallbacks.add(f"probe:{_capability_name(probe_call.args[2])}")
-            if need_full:
-                fallbacks.add("need_full")
-            sites.append(
-                VerbSite(
-                    verb=event.verb,
-                    func=func,
-                    node=event.node,
-                    fallbacks=frozenset(fallbacks),
-                )
-            )
-    return sites
-
-
-# ----------------------------------------------------------------------
 # spec assembly
 # ----------------------------------------------------------------------
 def spec_of(extraction: Extraction) -> WireSpec:
@@ -510,15 +430,7 @@ def spec_of(extraction: Extraction) -> WireSpec:
                 ),
             ),
         )
-    verbs: dict[str, WireVerb] = {}
-    merged: dict[str, set[str]] = {}
-    for site in extraction.verb_sites:
-        merged.setdefault(site.verb, set()).update(site.fallbacks)
-    for verb, fallbacks in merged.items():
-        verbs[verb] = WireVerb(
-            seed=verb in SEED_WIRE_VERBS, fallbacks=tuple(sorted(fallbacks))
-        )
-    return WireSpec(tags=tags, classes=classes, verbs=verbs)
+    return WireSpec(tags=tags, classes=classes, verbs=tuple(sorted(extraction.verbs)))
 
 
 def extract_modules(modules: list["ModuleSource"]) -> WireSpec:

@@ -8,10 +8,7 @@ must share to interoperate:
   (the string both sides resolve), with its state shape: field names in
   wire order, which fields are an optional widened tail, and the
   attribute that guards each widened field's emission;
-* ``verbs`` — every RMI verb the runtime issues as a literal, whether it
-  belongs to the seed protocol every peer understands, and the fallback
-  edges (capability probes, ``NeedFull`` downgrades) that let a newer
-  peer talk to an older one.
+* ``verbs`` — every RMI verb the runtime issues as a literal.
 
 The JSON form is canonical — keys sorted, compact separators — so the
 ``fingerprint`` (a crc32 over the canonical contract body, same choice
@@ -37,8 +34,8 @@ class WireField:
     """One positional slot of a class's wire state tuple."""
 
     name: str
-    #: True for widened-tail fields: peers that predate the field never
-    #: see it (the getter omits it) and ignore it on receipt (``*rest``).
+    #: True for widened-tail fields: the getter omits the field while it
+    #: is unset, so the common frame stays short.
     optional: bool = False
     #: The attribute whose truthiness gates emission of this optional
     #: field — ``None`` on an optional field is an OBI305 finding.
@@ -72,7 +69,7 @@ class WireClass:
     #: Registered with custom get_state/set_state/factory hooks.
     custom_state: bool = False
     #: The setter tolerates shorter-than-full tuples (``*rest`` or
-    #: ``len(state)`` branching) — the widened-tail compatibility idiom.
+    #: ``len(state)`` branching) — the widened-tail idiom.
     optional_tail: bool = False
     fields: tuple[WireField, ...] = ()
 
@@ -98,35 +95,14 @@ class WireClass:
         )
 
 
-@dataclass(frozen=True)
-class WireVerb:
-    """One RMI verb the runtime issues."""
-
-    #: Part of the seed protocol (``SEED_WIRE_VERBS``) every peer build
-    #: understands; non-seed verbs need a fallback edge.
-    seed: bool = False
-    #: Downgrade edges observed at the verb's call sites:
-    #: ``probe:<capability>`` and/or ``need_full``.
-    fallbacks: tuple[str, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {"seed": self.seed, "fallbacks": list(self.fallbacks)}
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "WireVerb":
-        return cls(
-            seed=bool(raw.get("seed", False)),
-            fallbacks=tuple(str(f) for f in raw.get("fallbacks", [])),
-        )
-
-
 @dataclass
 class WireSpec:
     """The whole contract of one source tree."""
 
     tags: dict[str, int] = field(default_factory=dict)
     classes: dict[str, WireClass] = field(default_factory=dict)
-    verbs: dict[str, WireVerb] = field(default_factory=dict)
+    #: Verb names, sorted.
+    verbs: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     # canonical form
@@ -146,7 +122,7 @@ class WireSpec:
         return {
             "tags": {name: value for name, value in sorted(self.tags.items())},
             "classes": classes,
-            "verbs": {name: self.verbs[name].to_dict() for name in sorted(self.verbs)},
+            "verbs": sorted(self.verbs),
         }
 
     def fingerprint(self) -> str:
@@ -166,7 +142,7 @@ class WireSpec:
             "classes": {
                 name: self.classes[name].to_dict() for name in sorted(self.classes)
             },
-            "verbs": {name: self.verbs[name].to_dict() for name in sorted(self.verbs)},
+            "verbs": sorted(self.verbs),
         }
 
     def to_json(self) -> str:
@@ -188,9 +164,7 @@ class WireSpec:
             classes={
                 str(k): WireClass.from_dict(v) for k, v in raw.get("classes", {}).items()
             },
-            verbs={
-                str(k): WireVerb.from_dict(v) for k, v in raw.get("verbs", {}).items()
-            },
+            verbs=tuple(sorted(str(verb) for verb in raw.get("verbs", []))),
         )
 
     @classmethod

@@ -11,7 +11,7 @@ produces, because fingerprints are how the delta engine detects drift.
 Wall times come from :class:`~repro.util.clock.WallClock` and take the
 best of ``repeats`` runs, the standard defence against scheduler noise.
 
-The two e2e reruns PR 7 promises (fault batching with pure negotiation
+The two e2e reruns PR 7 promises (fault batching with pure announcement
 overhead, delta sync with compiled full-state frames) live in their own
 modules — this one re-invokes them with ``compiled_codec=True`` so one
 report carries all three acceptance numbers.

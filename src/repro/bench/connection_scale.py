@@ -122,11 +122,10 @@ def sustain_run(connections: int = DEFAULT_SUSTAIN_CONNECTIONS) -> SustainPoint:
     net = ReactorNetwork(WallClock(), timeout=TIMEOUT)
     try:
         net.attach("provider", _echo)
-        # One up-front call settles the pipelining verdict for the site, so
-        # every consumer below goes straight to a multiplexed channel.  The
-        # consumers themselves stay unattached: submit() needs no return
-        # listener, which is exactly how a mobile consumer behind NAT-ish
-        # conditions would drive a provider.
+        # One up-front call warms the loop and the dispatch pool before
+        # the clock starts.  The consumers stay unattached: submit() needs
+        # no return listener, which is exactly how a mobile consumer behind
+        # NAT-ish conditions would drive a provider.
         net.attach("warmup", _echo)
         net.call("warmup", "provider", b"hello")
         start = time.perf_counter()  # obilint: disable=OBI108 -- wall-clock benchmark measurement
@@ -140,8 +139,8 @@ def sustain_run(connections: int = DEFAULT_SUSTAIN_CONNECTIONS) -> SustainPoint:
         stats = net.reactor_stats.snapshot()
         return SustainPoint(
             connections=connections,
-            # the warmup consumer's channel and the legacy probe carrier
-            # are also in these counters; claims use >= on purpose
+            # the warmup consumer's channel is also in these counters;
+            # claims use >= on purpose
             accepted=int(stats["connections_accepted"]),
             open_at_peak=int(stats["connections_high_water"]),
             wall_ms=wall_ms,
@@ -208,7 +207,7 @@ def _race_reactor(connections: int, requests: int) -> float:
     try:
         net.attach("provider", _echo)
         net.attach("warmup", _echo)
-        net.call("warmup", "provider", b"hello")  # settle the verdict
+        net.call("warmup", "provider", b"hello")  # warm the loop
         start = time.perf_counter()  # obilint: disable=OBI108 -- wall-clock benchmark measurement
         replies = []
         for index in range(connections):

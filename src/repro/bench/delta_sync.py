@@ -114,7 +114,7 @@ def run_sync(
 
     The mutation schedule is drawn from a seeded generator, so both
     paths replay the identical sequence of writes.  ``compiled_codec``
-    turns on obicodec negotiation on both sites; :class:`SyncRecord` is
+    turns on the obicodec knob on both sites; :class:`SyncRecord` is
     all-scalar, so its full-state frames then travel compiled.
     """
     world = World.loopback(link=link)

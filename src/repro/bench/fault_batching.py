@@ -65,9 +65,9 @@ def run_walk(
 ) -> WalkResult:
     """Traverse the full list under chunk-1 incremental replication.
 
-    ``compiled_codec`` turns on obicodec negotiation on both sites.  The
+    ``compiled_codec`` turns on the obicodec knob on both sites.  The
     list node carries an object reference, so its frames stay reflective
-    either way — the knob measures pure negotiation overhead here (the
+    either way — the knob measures pure announcement overhead here (the
     widened mode tuple on each demand), which PR 7 requires to be noise.
     """
     world = World.loopback(link=link)

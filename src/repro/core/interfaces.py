@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.serial.registry import global_registry
-from repro.util.errors import ClusterError
+from repro.util.errors import ClusterError, SerializationError
 
 
 @dataclass(frozen=True)
@@ -68,13 +68,12 @@ class ReplicationMode:
         prefetched member its own proxy-in, and clustered fetches never
         widen (cluster membership is a semantic boundary).
     codec:
-        Serialization-codec negotiation (PR 7).  ``0`` (the default)
+        Serialization-codec announcement (PR 7).  ``0`` (the default)
         requests the reflective wire format.  ``1`` announces that the
         consumer decodes obicodec ``OBJECT_SCHEMA`` frames, so a
         codec-enabled provider may use the compiled fast path for the
         payload.  Like ``prefetch``, the field travels only when set, so
-        frames stay byte-identical to pre-codec peers — and pre-codec
-        peers ignore it on receipt.
+        the common frame stays a 3-tuple.
     """
 
     chunk: int = 1
@@ -159,20 +158,28 @@ def _mode_state(mode: object) -> object:
         return (mode.chunk, mode.depth, mode.clustered, mode.prefetch, mode.codec)
     if mode.prefetch:
         return (mode.chunk, mode.depth, mode.clustered, mode.prefetch)
-    # With the newer knobs unset the 3-tuple keeps frames byte-identical
-    # to the original wire format (and to peers that predate the knobs);
-    # peers that predate a knob unpack the extras into ``*rest`` and
-    # ignore what they don't know.
+    # With the newer knobs unset the 3-tuple keeps every plain get and
+    # demand two fields shorter.
     return (mode.chunk, mode.depth, mode.clustered)
 
 
 def _mode_set_state(mode: object, state: object) -> None:
-    chunk, depth, clustered, *rest = state  # type: ignore[misc]
+    if not isinstance(state, tuple) or not 3 <= len(state) <= 5:
+        raise SerializationError(
+            f"core.ReplicationMode state must be a 3-, 4- or 5-tuple, got {state!r}"
+        )
+    chunk, depth, clustered, *rest = state
     object.__setattr__(mode, "chunk", chunk)
     object.__setattr__(mode, "depth", depth)
     object.__setattr__(mode, "clustered", clustered)
     object.__setattr__(mode, "prefetch", rest[0] if rest else 0)
     object.__setattr__(mode, "codec", rest[1] if len(rest) > 1 else 0)
+    try:
+        mode.__post_init__()  # type: ignore[attr-defined]
+    except (ClusterError, TypeError) as exc:
+        raise SerializationError(
+            f"core.ReplicationMode state {state!r} is out of range: {exc}"
+        ) from None
 
 
 global_registry.register(

@@ -142,7 +142,7 @@ def _build_package(site: "Site", root: object, mode: ReplicationMode) -> Replica
     swizzler = PackagingSwizzler(site, member_ids)
     # The obicodec fast path runs only when this provider has it enabled
     # AND the consumer's mode announced it can decode OBJECT_SCHEMA
-    # frames — the same probe-free negotiation prefetch uses.
+    # frames.
     encoder = Encoder(
         site.registry,
         swizzler,
@@ -301,7 +301,7 @@ def build_put(site: "Site", replicas: list[object], *, compiled: bool = False) -
     stays mastered at the consumer ("objects can be replicated freely
     among sites").
 
-    With ``compiled=True`` (negotiated per provider by the site) an
+    With ``compiled=True`` (the site's ``compiled_codec`` knob) an
     all-scalar replica travels as one self-contained ``OBJECT_SCHEMA``
     frame instead of the reflective state dict; anything the schema
     cannot express keeps the dict frame, entry by entry.

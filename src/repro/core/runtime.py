@@ -36,13 +36,6 @@ from repro.core.meta import (
     is_obiwan,
     obi_id_of,
 )
-from repro.core.negotiation import (
-    COMPILED_CODEC,
-    DELTA_SYNC,
-    UNSUPPORTED,
-    PeerCapabilities,
-    probe,
-)
 from repro.core.packages import ObjectMeta, RefreshDeltaReply, RefreshDeltaRequest
 from repro.core.proxy_in import ProxyIn
 from repro.core.proxy_out import ProxyOutBase
@@ -62,6 +55,7 @@ from repro.core.striping import (
 )
 from repro.core.telemetry import FeedStats, SerialPathStats, SyncPathStats
 from repro.core.versions import ChangeLog, DirtyTracker, DirtySnapshot
+from repro.feed.service import FEED_INTERFACE, FEED_OBJECT_ID, FeedService
 from repro.obs.context import NULL_TRACER, Tracer
 from repro.obs.spans import SpanCollector
 from repro.rmi.endpoint import RmiEndpoint
@@ -231,9 +225,9 @@ class Site:
         self.tracer = NULL_TRACER
         #: Opt-in knob for delta synchronization (PR 4).  When ``True``,
         #: ``put_back``/``put_back_cluster``/``refresh`` try the versioned
-        #: delta verbs first and fall back to the legacy full-state path on
-        #: ``NEED_FULL`` or an unversioned peer.  Replicas fetched before
-        #: the knob was flipped enroll lazily on their next full sync.
+        #: delta verbs first and fall back to the full-state path on a
+        #: ``NEED_FULL`` answer.  Replicas fetched before the knob was
+        #: flipped enroll lazily on their next full sync.
         self.delta_sync = False
         #: Deterministic state-digest machine shared by the delta paths.
         self.fingerprinter = Fingerprinter(endpoint.registry)
@@ -245,14 +239,8 @@ class Site:
         #: outgoing modes announce ``codec=1`` (so codec-enabled providers
         #: answer with compiled frames), provider-side ``get`` handling
         #: honours the announcement, and ``put_back`` ships all-scalar
-        #: replicas as compiled frames — downgrading per provider site the
-        #: first time a pre-codec master rejects the unknown wire tag.
+        #: replicas as compiled frames.
         self.compiled_codec = False
-        #: One shared verdict cache for every negotiated extension: a
-        #: provider site that failed a delta-verb probe (unversioned
-        #: peer) or rejected a compiled put frame (pre-codec peer) is
-        #: remembered here so later calls skip the probe and go legacy.
-        self.peer_caps = PeerCapabilities()
         #: Local pub/sub used by the consistency and mobility layers.
         #: Topics: ``replica_registered``, ``replica_refreshed``,
         #: ``put_applied``, ``fault_resolved``.
@@ -263,14 +251,13 @@ class Site:
         #: The attached :mod:`repro.feed` role — a ``FeedPrimary`` or
         #: ``FeedFollower`` — or ``None``.  The exported feed service
         #: dispatches its verbs through whatever role is current, so a
-        #: promotion swaps behaviour without re-exporting anything.
+        #: promotion swaps behaviour without re-exporting anything.  It is
+        #: exported with the site, so a site with no role answers every
+        #: feed verb with a ``FeedError``.
         self.feed_role = None
-        #: A peer that detaches and re-attaches may have restarted as a
-        #: different (older) build: drop its cached capability verdicts so
-        #: the next extension use re-probes instead of trusting stale
-        #: state (and, symmetrically, a downgraded verdict does not outlive
-        #: the connection that earned it).
-        endpoint.network.add_topology_listener(self._on_peer_topology)
+        endpoint.export(
+            FeedService(self), object_id=FEED_OBJECT_ID, interface=FEED_INTERFACE
+        )
         #: Per-stripe locks guarding the object tables: provider-side
         #: dispatcher threads and application threads touch them
         #: concurrently on the threaded and TCP transports.  Each stripe's
@@ -300,10 +287,6 @@ class Site:
     def _stripe_of(self, oid: str) -> int:
         """The stripe an obi id routes to (deterministic, node-local)."""
         return stripe_of(oid, self.stripe_count)
-
-    def _on_peer_topology(self, event: str, site_id: str) -> None:
-        if site_id != self.name:
-            self.peer_caps.forget(site_id)
 
     def _read_guard(self, idx: int):
         """Null context by default; stripe ``idx``'s lock when the
@@ -402,8 +385,8 @@ class Site:
 
         With :attr:`delta_sync` on, ships only the dirty fields through
         ``put_delta`` when possible: a clean replica syncs without any
-        network traffic, and a ``NEED_FULL`` answer (or an unversioned
-        provider) transparently downgrades to the legacy full-state put.
+        network traffic, and a ``NEED_FULL`` answer transparently
+        downgrades to the full-state put.
         """
         cluster_ops.check_individually_updatable(self, replica)
         info = self._replica_record(replica)
@@ -414,7 +397,7 @@ class Site:
                 self.sync_stats.add(oid=oid, puts_noop=1)
                 span.set(path="noop")
                 return info.version
-            if snap is not None and not snap.whole and self._delta_peer_ok(info.provider):
+            if snap is not None and not snap.whole:
                 versions = self._try_put_delta(info.provider, [(replica, snap)])
                 if versions is not None:
                     version = versions.get(oid)
@@ -425,27 +408,8 @@ class Site:
                     info.version = version
                     span.set(path="delta")
                     return version
-            provider = info.provider
-            if self._codec_peer_ok(provider):
-                package = build_put(self, [replica], compiled=True)
-                versions = probe(
-                    self.peer_caps,
-                    provider.site_id,
-                    COMPILED_CODEC,
-                    lambda: self.endpoint.invoke(provider, "put", (package,)),
-                )
-                if versions is UNSUPPORTED:
-                    # A pre-codec master choked on the OBJECT_SCHEMA tag:
-                    # the site is now cached as unsupported; retry
-                    # reflectively.  Put is last-writer-wins, so the
-                    # retry is idempotent even if the first attempt
-                    # half-landed (it cannot: decode precedes any
-                    # mutation on the master side).
-                    package = build_put(self, [replica], compiled=False)
-                    versions = self.endpoint.invoke(provider, "put", (package,))
-            else:
-                package = build_put(self, [replica], compiled=False)
-                versions = self.endpoint.invoke(provider, "put", (package,))
+            package = build_put(self, [replica], compiled=self.compiled_codec)
+            versions = self.endpoint.invoke(info.provider, "put", (package,))
             version = versions.get(oid)
             if version is None:
                 raise UnknownReplicaError(
@@ -475,7 +439,7 @@ class Site:
         self, info: "ReplicaRecord", members: list[object], root: object
     ) -> dict[str, int]:
         snaps: list[DirtySnapshot | None] = [None] * len(members)
-        if self.delta_sync and self._delta_peer_ok(info.provider):
+        if self.delta_sync:
             snaps = [self.dirty_tracker.capture(member) for member in members]
             if all(s is not None and not s.whole for s in snaps):
                 dirty = [
@@ -529,7 +493,7 @@ class Site:
         cluster_ops.check_individually_updatable(self, replica)
         info = self._replica_record(replica)
         with self.tracer.span("refresh", name=obi_id_of(replica)) as span:
-            if self.delta_sync and self._delta_peer_ok(info.provider):
+            if self.delta_sync:
                 snap = self.dirty_tracker.capture(replica)
                 if snap is not None and snap.clean:
                     reply = self._try_get_delta(info.provider, replica, info.version)
@@ -1062,61 +1026,38 @@ class Site:
             self.clock.advance(count * self.costs.replica_create_s)
 
     # ------------------------------------------------------------------
-    # obicodec negotiation (PR 7)
+    # obicodec announcement (PR 7)
     # ------------------------------------------------------------------
     def outgoing_mode(self, mode: ReplicationMode) -> ReplicationMode:
         """Stamp the codec announcement onto a consumer-outgoing mode.
 
         Every ``get``-family request funnels through here so a provider
         learns, per request, whether this consumer decodes compiled
-        frames.  Pre-codec providers unpack the extra tuple slot into
-        ``*rest`` and ignore it.
+        frames.
         """
         want = 1 if self.compiled_codec else 0
         if mode.codec == want:
             return mode
         return replace(mode, codec=want)
 
-    def _codec_peer_ok(self, provider: RemoteRef | None) -> bool:
-        """True when puts to this provider's site may use compiled frames."""
-        if not self.compiled_codec or provider is None:
-            return False
-        return self.peer_caps.assume(provider.site_id, COMPILED_CODEC)
-
     # ------------------------------------------------------------------
     # delta-sync plumbing (PR 4)
     # ------------------------------------------------------------------
-    def _delta_peer_ok(self, provider: RemoteRef | None) -> bool:
-        """True unless this provider's site already failed a delta probe."""
-        if provider is None:
-            return False
-        return self.peer_caps.assume(provider.site_id, DELTA_SYNC)
-
     def _try_put_delta(
         self, provider: RemoteRef, items: "list[tuple[object, DirtySnapshot]]"
     ) -> dict[str, int] | None:
         """One delta put attempt; ``None`` means "use the full path".
 
-        Handles the two downgrade shapes: an unversioned peer (missing
-        ``put_delta`` → remembered in :attr:`peer_caps`) and a
-        ``NEED_FULL`` answer (version/fingerprint mismatch at the
-        master).  On success, commits every snapshot so the dirty sets
-        re-baseline, and credits the bytes the full path would have
-        shipped.
+        A ``NEED_FULL`` answer (version/fingerprint mismatch at the
+        master) downgrades.  On success, commits every snapshot so the
+        dirty sets re-baseline, and credits the bytes the full path would
+        have shipped.
         """
         package = build_put_delta(
             self, [(replica, snap.fields) for replica, snap in items]
         )
         with self.tracer.span("put_delta", entries=len(items)) as span:
-            result = probe(
-                self.peer_caps,
-                provider.site_id,
-                DELTA_SYNC,
-                lambda: self.endpoint.invoke(provider, "put_delta", (package,)),
-            )
-            if result is UNSUPPORTED:
-                span.set(outcome="unversioned_peer")
-                return None
+            result = self.endpoint.invoke(provider, "put_delta", (package,))
             if isinstance(result, NeedFull):
                 self.sync_stats.add(need_full_downgrades=1)
                 span.set(outcome="need_full")
@@ -1138,15 +1079,7 @@ class Site:
             obi_id=obi_id_of(replica), base_version=base_version
         )
         with self.tracer.span("get_delta", name=request.obi_id) as span:
-            reply = probe(
-                self.peer_caps,
-                provider.site_id,
-                DELTA_SYNC,
-                lambda: self.endpoint.invoke(provider, "get_delta", (request,)),
-            )
-            if reply is UNSUPPORTED:
-                span.set(outcome="unversioned_peer")
-                return None
+            reply = self.endpoint.invoke(provider, "get_delta", (request,))
             if isinstance(reply, NeedFull):
                 self.sync_stats.add(need_full_downgrades=1)
                 span.set(outcome="need_full")
@@ -1285,8 +1218,8 @@ class World:
         """Localhost-TCP world — the closest analogue of RMI over a LAN.
 
         ``network`` selects the transport: ``"pooled"`` (default) is the
-        thread-per-connection compat backend; ``"reactor"`` is the
-        single-event-loop obireactor with negotiated frame pipelining.
+        thread-per-connection backend; ``"reactor"`` is the
+        single-event-loop obireactor with frame pipelining.
         """
         if network == "pooled":
             net: Network = TcpNetwork(WallClock(), default_link=link)

@@ -17,8 +17,8 @@ the benchmarks share one vocabulary:
   (``FaultPathStats``, ``SyncPathStats``) merged on read, so hot-path
   threads on different stripes never touch the same counter lock.
 
-Striping is node-local: nothing here crosses the wire, so a striped
-site interoperates with un-upgraded peers unchanged.
+Striping is node-local: nothing here crosses the wire, so striped and
+un-striped sites interoperate unchanged.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ from repro.feed.service import (
     FEED_METHODS,
     FEED_OBJECT_ID,
     FeedService,
-    ensure_feed_service,
     feed_ref,
 )
 
@@ -46,7 +45,6 @@ __all__ = [
     "FeedService",
     "apply_feed_frame",
     "elect_new_primary",
-    "ensure_feed_service",
     "fail_over",
     "feed_ref",
     "request_promotion",

@@ -31,7 +31,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.core.meta import obi_id_of
-from repro.core.negotiation import FEED, UNSUPPORTED, probe
 from repro.core.packages import (
     FeedAck,
     FeedBatch,
@@ -43,7 +42,7 @@ from repro.core.packages import (
 )
 from repro.core.replication import build_put
 from repro.feed.apply import apply_feed_frame
-from repro.feed.service import ensure_feed_service, feed_ref
+from repro.feed.service import feed_ref
 from repro.util.errors import FeedError, StaleEpochError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -70,7 +69,6 @@ class FeedFollower:
         self._providers: "dict[str, RemoteRef]" = {}
         #: name-server binding → oid (rebound on promotion).
         self._names: dict[str, str] = {}
-        ensure_feed_service(site)
         site.feed_role = self
         site.feed_stats.set_gauges(role="follower", epoch=self._epoch)
 
@@ -92,17 +90,7 @@ class FeedFollower:
         with site.tracer.span(
             "feed.subscribe", primary=primary_site_id, since=request.last_serial
         ):
-            reply = probe(
-                site.peer_caps,
-                primary_site_id,
-                FEED,
-                lambda: site.endpoint.invoke(primary, "feed_subscribe", (request,)),
-            )
-        if reply is UNSUPPORTED:
-            raise FeedError(
-                f"site {primary_site_id!r} does not speak the change-feed "
-                "protocol; upgrade it before following it"
-            )
+            reply = site.endpoint.invoke(primary, "feed_subscribe", (request,))
         self._adopt_maps(reply)
         if reply.snapshot_needed:
             self._bootstrap(primary)
@@ -131,16 +119,7 @@ class FeedFollower:
         site = self.site
         request = FeedSnapshotRequest(site_id=site.name)
         with site.tracer.span("feed.bootstrap", primary=primary.site_id):
-            snapshot = probe(
-                site.peer_caps,
-                primary.site_id,
-                FEED,
-                lambda: site.endpoint.invoke(primary, "feed_snapshot", (request,)),
-            )
-            if snapshot is UNSUPPORTED:
-                raise FeedError(
-                    f"site {primary.site_id!r} does not serve feed snapshots"
-                )
+            snapshot = site.endpoint.invoke(primary, "feed_snapshot", (request,))
             self._apply_snapshot(snapshot)
         site.feed_stats.add(snapshot_bootstraps=1)
 

@@ -8,18 +8,14 @@ dense serial, and the observer turns each event into a
 
 Delivery discipline:
 
-* The **first** push to each subscriber is a ``probe()``-wrapped
-  synchronous invoke, so an un-upgraded peer is classified cleanly
-  (:data:`repro.core.negotiation.FEED`) and marked stalled instead of
-  poisoning the group.
-* Confirmed subscribers are fanned out with ``invoke_async`` — on the
-  obireactor transport the frames pipeline over one multiplexed
-  connection per follower, so a slow follower does not serialize the
-  push path.
+* Every push is fanned out with ``invoke_async`` — on the obireactor
+  transport the frames pipeline over one multiplexed connection per
+  follower, so a slow follower does not serialize the push path.
 * The subscriber list is copied under the role's lock and every invoke
   happens outside it (obiflow OBI202 checks this).
 
-A push failure marks the subscriber stalled; a reconnecting follower
+A push failure — including the ``FeedError`` of a subscriber site with
+no follower role — marks the subscriber stalled; a reconnecting follower
 heals itself by re-subscribing.  An ack carrying a *newer* epoch means
 the group failed over while we were partitioned away — the deposed
 primary demotes itself on the spot rather than keep writing history
@@ -32,7 +28,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.core.meta import interface_of, obi_id_of
-from repro.core.negotiation import FEED, UNSUPPORTED, probe
 from repro.core.packages import (
     FeedAck,
     FeedBatch,
@@ -45,7 +40,7 @@ from repro.core.packages import (
     PromoteRequest,
 )
 from repro.core.replication import PackagingSwizzler
-from repro.feed.service import ensure_feed_service, feed_ref
+from repro.feed.service import feed_ref
 from repro.serial.encoder import Encoder
 from repro.util.errors import (
     FeedError,
@@ -67,13 +62,11 @@ PUSH_TIMEOUT_S = 30.0
 class _Subscriber:
     """One follower's delivery state (guarded by the primary's lock)."""
 
-    __slots__ = ("site_id", "ref", "confirmed", "stalled", "acked_serial")
+    __slots__ = ("site_id", "ref", "stalled", "acked_serial")
 
     def __init__(self, site_id: str, ref: "RemoteRef"):
         self.site_id = site_id
         self.ref = ref
-        #: First probe-wrapped push succeeded: safe to go async.
-        self.confirmed = False
         self.stalled = False
         self.acked_serial = 0
 
@@ -88,7 +81,6 @@ class FeedPrimary:
         self._lock = threading.Lock()
         self._subscribers: dict[str, _Subscriber] = {}
         self._active = True
-        ensure_feed_service(site)
         site.feed_role = self
         self._seed_journal()
         site.change_log.subscribe(self._on_event)
@@ -152,29 +144,14 @@ class FeedPrimary:
         site = self.site
         with self._lock:
             subscribers = [s for s in self._subscribers.values() if not s.stalled]
-        # First delivery per follower probes synchronously (classifiable
-        # un-upgraded-peer failure); confirmed followers pipeline.
         in_flight = []
         for sub in subscribers:
-            if sub.confirmed:
-                future = site.endpoint.invoke_async(sub.ref, "feed_events", (batch,))
-                in_flight.append((sub, future))
-                continue
             try:
-                ack = probe(
-                    site.peer_caps,
-                    sub.site_id,
-                    FEED,
-                    lambda ref=sub.ref: site.endpoint.invoke(ref, "feed_events", (batch,)),
-                )
-            except (TransportError, RemoteError, FeedError) as exc:
+                future = site.endpoint.invoke_async(sub.ref, "feed_events", (batch,))
+            except TransportError as exc:  # unreachable before the frame left
                 self._stall(sub, reason=str(exc))
                 continue
-            if ack is UNSUPPORTED:
-                self._stall(sub, reason="peer does not speak the feed protocol")
-                continue
-            sub.confirmed = True
-            self._note_ack(sub, ack)
+            in_flight.append((sub, future))
         for sub, future in in_flight:
             try:
                 ack = future.result(PUSH_TIMEOUT_S)

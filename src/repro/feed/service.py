@@ -9,9 +9,8 @@ a thin dispatcher: every verb routes to whatever role
 site, so a failover promotion swaps behaviour without re-exporting
 anything or invalidating subscriber-held refs.
 
-A peer that predates obifeed never exported this object, so its skeleton
-answers ``no exported object 'obj:feed'`` — the classifiable failure
-shape :data:`repro.core.negotiation.FEED` keys on.
+Every site exports the service when it is created.  A site with no role
+attached answers each verb with a :class:`~repro.util.errors.FeedError`.
 """
 
 from __future__ import annotations
@@ -77,11 +76,3 @@ class FeedService:
     def promote(self, request: "PromoteRequest") -> "PromoteReply":
         return self._role().handle_promote(request)
 
-
-def ensure_feed_service(site: "Site") -> RemoteRef:
-    """Export the site's feed service if it is not exported yet."""
-    if FEED_OBJECT_ID not in site.endpoint.objects:
-        site.endpoint.export(
-            FeedService(site), object_id=FEED_OBJECT_ID, interface=FEED_INTERFACE
-        )
-    return feed_ref(site.name)

@@ -32,10 +32,9 @@ class InvokeRequest:
 
     ``trace`` is optional causal-trace context — the caller's
     ``(trace_id, span_id)`` from :mod:`repro.obs.context` — and follows
-    the prefetch wire-compat precedent: requests without it serialize to
-    the legacy 4-tuple (byte-identical to pre-tracing peers), requests
-    carrying it widen to a 5-tuple that old decoders never see because
-    untraced callers never stamp it.
+    the prefetch precedent: requests without it serialize to a 4-tuple,
+    requests carrying it widen to a 5-tuple, so untraced requests stay
+    one field shorter.
     """
 
     object_id: str

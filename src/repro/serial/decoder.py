@@ -135,7 +135,12 @@ class Decoder:
             instance = entry.factory()
             memo.append(instance)
             state = self._read(reader, memo, depth + 1, guard)
-            entry.set_state(instance, state)
+            try:
+                entry.set_state(instance, state)
+            except (ValueError, TypeError) as exc:
+                # A state of the wrong shape for the class: the same typed
+                # error the compiled path raises for a corrupt frame.
+                raise SerializationError(f"corrupt state for {name!r}: {exc}") from None
             return instance
         if tag == tags.OBJECT_SCHEMA:
             name = str(reader.take(reader.u32()), "utf-8")

@@ -141,42 +141,24 @@ class Network(ABC):
         self.stats = NetworkStats()
         self._links: dict[tuple[str, str], Link] = {}
         self._handlers: dict[str, Handler] = {}
-        self._topology_listeners: list[Callable[[str, str], None]] = []
         self._rng = random.Random(seed)
         self._closed = False
 
     # ------------------------------------------------------------------
     # topology
     # ------------------------------------------------------------------
-    def add_topology_listener(self, listener: Callable[[str, str], None]) -> None:
-        """Call ``listener(event, site_id)`` on every attach/detach.
-
-        ``event`` is ``"attach"`` or ``"detach"``.  Listeners run on the
-        attaching/detaching thread, after the handler table has changed
-        and outside any transport lock.  Sites use this to invalidate
-        per-peer capability caches when a peer's connection churns — a
-        re-attached peer may be a restarted (older or newer) build.
-        """
-        self._topology_listeners.append(listener)
-
-    def _notify_topology(self, event: str, site_id: str) -> None:
-        for listener in list(self._topology_listeners):
-            listener(event, site_id)
-
     def attach(self, site_id: str, handler: Handler) -> "Endpoint":
         """Register ``site_id`` with its inbound-frame handler."""
         if site_id in self._handlers:
             raise ValueError(f"site {site_id!r} is already attached")
         self._handlers[site_id] = handler
         self._on_attach(site_id)
-        self._notify_topology("attach", site_id)
         return Endpoint(self, site_id)
 
     def detach(self, site_id: str) -> None:
         """Remove a site; in-flight calls to it fail."""
         self._handlers.pop(site_id, None)
         self._on_detach(site_id)
-        self._notify_topology("detach", site_id)
 
     def set_link(self, a: str, b: str, link: Link, *, symmetric: bool = True) -> None:
         """Install a link model between two sites (default: both ways)."""

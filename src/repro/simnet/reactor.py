@@ -12,33 +12,22 @@ ROADMAP's "one provider, tens of thousands of mobile consumers" target.
 * **frame dispatch runs on a grow-on-demand worker pool**, never on the
   loop thread: handlers make nested RMI calls back through the network,
   which would deadlock a loop that dispatched inline;
-* **frame pipelining**: many requests in flight per connection,
-  correlated by the request id every frame already carries, under new
-  frame kinds (``PREQUEST``/``PRESPONSE``/``PERROR``) that exist only in
-  this module — the legacy one-frame-per-exchange wire format is
-  untouched;
+* **frame pipelining**: many requests in flight per connection from
+  the first call on, correlated by the request id every frame already
+  carries, under the frame kinds ``PREQUEST``/``PRESPONSE``/``PERROR``;
 * **a sync facade**: :meth:`ReactorNetwork.call` is still blocking, so
   every existing call site works unchanged; :meth:`ReactorNetwork.submit`
   exposes the per-request :class:`~repro.simnet.network.PendingReply`
   future underneath for callers that want true fan-out.
 
-Negotiation
------------
+One wire format
+---------------
 
-Pipelined kinds are negotiated per peer through
-:class:`repro.core.negotiation.PeerCapabilities`, like delta sync and
-obicodec — but the probe cannot be failure-shaped: an unknown frame kind
-does not make an old peer answer with a classifiable error, it kills the
-peer's serving thread.  So the probe travels *in band*: the first
-exchange to a peer is a fully legacy ``REQUEST`` whose request id is
-prefixed with a reversible marker (``pf?``).  An upgraded server
-rewrites the prefix to ``pf!`` in the response id; a legacy server
-echoes the id untouched (responses always preserve the request id).  No
-marker echo → the peer is cached as unsupported and keeps getting the
-pooled blocking path forever after.  An un-upgraded peer therefore
-**never sees a correlation-ID frame** — the only novel bytes it can ever
-receive are three characters inside an opaque request id it already
-round-trips verbatim.
+Every peer ships from this tree, so there is nothing to negotiate: a
+reactor server speaks ``PREQUEST`` and ``CAST`` and nothing else.  A
+connection that sends any other frame kind — the one-frame-per-exchange
+``REQUEST`` of a plain :class:`~repro.simnet.tcp.TcpNetwork` client, say
+— is dropped, and the client sees a :class:`TransportError`.
 
 Flow control
 ------------
@@ -70,32 +59,23 @@ import socket
 import struct
 import threading
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, TypeVar
 
-from repro.core.negotiation import PIPELINED_FRAMES, PeerCapabilities
 from repro.obs.context import annotate
 from repro.simnet.message import Message, MessageKind
 from repro.simnet.network import PendingReply
 from repro.simnet.tcp import _HEADER, _KIND_CODES, TcpNetwork, _close_quietly
 from repro.util.errors import TransportError
 
-#: Pipelined frame kinds.  These codes exist ONLY in this module: the
-#: legacy tcp codec (kinds 1–4) must never learn them, and they are only
-#: ever emitted to peers that acknowledged the pipelining probe.
+#: Pipelined frame kinds.  The threaded transport's codec (kinds 1–4)
+#: does not know them; the reactor speaks these plus ``CAST``.
 _PREQUEST = 5
 _PRESPONSE = 6
 _PERROR = 7
 
-_REQUEST = _KIND_CODES[MessageKind.REQUEST]
-_RESPONSE = _KIND_CODES[MessageKind.RESPONSE]
 _CAST = _KIND_CODES[MessageKind.CAST]
-_ERROR = _KIND_CODES[MessageKind.ERROR]
 
-#: In-band negotiation markers (see module docstring).  Request ids are
-#: ``req:N`` (see :mod:`repro.util.ids`), so the prefixes cannot collide
-#: with a real id.
-_PROBE_ASK = "pf?"
-_PROBE_ACK = "pf!"
+_T = TypeVar("_T")
 
 _META = struct.Struct("!HHH")
 _RECV_CHUNK = 1 << 16
@@ -466,9 +446,7 @@ class _Conn:
 
 
 class _ServerConn(_Conn):
-    """One inbound connection.  Speaks both dialects: legacy kinds from
-    pooled blocking clients (including the negotiation probe) and
-    pipelined kinds from confirmed channels."""
+    """One inbound connection: pipelined requests and casts."""
 
     def __init__(self, loop: "_ReactorLoop", site_id: str, sock: socket.socket):
         super().__init__(loop, sock)
@@ -484,17 +462,16 @@ class _ServerConn(_Conn):
                     lambda: _run_cast(handler, rid, src, dst, payload)
                 )
             return
-        if kind_code not in (_REQUEST, _PREQUEST):
+        if kind_code != _PREQUEST:
             # A frame kind this server does not speak: drop the
             # connection rather than guess at its semantics.
             self.teardown(TransportError(f"unknown frame kind {kind_code}"))
             return
-        pipelined = kind_code == _PREQUEST
         if handler is None:
             self.enqueue(
                 _pack_frame(
-                    _PERROR if pipelined else _ERROR,
-                    _ack_rid(rid),
+                    _PERROR,
+                    rid,
                     dst,
                     src,
                     f"no site {dst!r} attached to this network".encode("utf-8"),
@@ -503,7 +480,7 @@ class _ServerConn(_Conn):
             )
             return
         net.dispatch_pool.submit(
-            lambda: self._run_request(handler, rid, src, dst, payload, pipelined)
+            lambda: self._run_request(handler, rid, src, dst, payload)
         )
 
     def _run_request(
@@ -513,7 +490,6 @@ class _ServerConn(_Conn):
         src: str,
         dst: str,
         payload: bytes,
-        pipelined: bool,
     ) -> None:
         """Worker-thread dispatch of one request frame."""
         message = Message(
@@ -526,12 +502,9 @@ class _ServerConn(_Conn):
         except Exception as exc:  # noqa: BLE001 - reported to the caller
             ok = False
             body = repr(exc).encode("utf-8")
-        if pipelined:
-            code = _PRESPONSE if ok else _PERROR
-        else:
-            code = _RESPONSE if ok else _ERROR
+        code = _PRESPONSE if ok else _PERROR
         try:
-            self.enqueue(_pack_frame(code, _ack_rid(rid), dst, src, body))
+            self.enqueue(_pack_frame(code, rid, dst, src, body))
         except TransportError:  # obilint: disable=OBI107 -- the consumer's own pending-reply bookkeeping reports the dead connection; the server has nobody left to tell
             pass
 
@@ -550,18 +523,6 @@ def _run_cast(
         handler(message)
     except Exception:  # noqa: BLE001 - one-way, nothing to report to
         pass
-
-
-def _ack_rid(rid: str) -> str:
-    """Answer the in-band pipelining probe: rewrite ``pf?`` to ``pf!``.
-
-    Only an upgraded server runs this, which is the entire negotiation —
-    a legacy server echoes the marked id untouched and the client caches
-    the peer as unsupported.
-    """
-    if rid.startswith(_PROBE_ASK):
-        return _PROBE_ACK + rid[len(_PROBE_ASK) :]
-    return rid
 
 
 class _PeerChannel(_Conn):
@@ -802,34 +763,26 @@ class _ReactorLoop(threading.Thread):
 
 
 class ReactorNetwork(TcpNetwork):
-    """Single-event-loop TCP transport with negotiated frame pipelining.
+    """Single-event-loop TCP transport with frame pipelining.
 
-    Subclasses :class:`TcpNetwork` for the client side it keeps: the
-    pooled blocking exchange is both the negotiation probe carrier and
-    the permanent fallback for peers that never acknowledge pipelining.
-    Sites listed in ``legacy_server_sites`` are served by the inherited
-    thread-per-connection server instead of the loop — they behave
-    exactly like un-upgraded peers, which is what the interop tests and
-    the threaded-vs-reactor benchmark sweep.
+    Subclasses :class:`TcpNetwork` for the port directory, routing and
+    lifecycle it keeps; every request and cast rides a pipelined channel
+    from the first call, so the inherited pooled exchange never runs.
     """
 
     def __init__(
         self,
         *args: object,
         timeout: float = 30.0,
-        legacy_server_sites: tuple[str, ...] = (),
         max_dispatch_threads: int = 32,
         write_high_water: int = WRITE_HIGH_WATER,
         **kwargs: object,
     ):
         super().__init__(*args, timeout=timeout, **kwargs)
-        self.peer_caps = PeerCapabilities()
         self.reactor_stats = ReactorStats()
         self.write_high_water = write_high_water
         self.dispatch_pool = _DispatchPool(max_dispatch_threads)
-        self._legacy_server_sites = set(legacy_server_sites)
         self._channels: dict[tuple[str, str], _PeerChannel] = {}
-        self._pipelined_peers: set[str] = set()
         self._channels_lock = threading.Lock()
         self._loop = _ReactorLoop(self)
         self._loop.start()
@@ -838,9 +791,6 @@ class ReactorNetwork(TcpNetwork):
     # lifecycle
     # ------------------------------------------------------------------
     def _on_attach(self, site_id: str) -> None:
-        if site_id in self._legacy_server_sites:
-            super()._on_attach(site_id)
-            return
         server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind(("127.0.0.1", 0))
@@ -870,15 +820,11 @@ class ReactorNetwork(TcpNetwork):
             self.reactor_stats.record_open(+1, accepted=True)
 
     def _on_detach(self, site_id: str) -> None:
-        if site_id in self._legacy_server_sites:
-            super()._on_detach(site_id)
-            return
         server = self._servers.pop(site_id, None)
         self._ports.pop(site_id, None)
         if server is not None:
             self._loop.post_and_wait(lambda: self._close_site(site_id, server))
         with self._channels_lock:
-            self._pipelined_peers.discard(site_id)
             doomed = [
                 channel
                 for (src, dst), channel in self._channels.items()
@@ -887,8 +833,6 @@ class ReactorNetwork(TcpNetwork):
         for channel in doomed:
             failure = TransportError(f"site {site_id!r} detached")
             self._loop.post_and_wait(lambda ch=channel: ch.teardown(failure))
-        self.peer_caps.forget(site_id)
-        self._drop_pooled(site_id)
 
     def _close_site(self, site_id: str, server: socket.socket) -> None:
         """Loop thread: close the listener and every inbound conn."""
@@ -916,63 +860,22 @@ class ReactorNetwork(TcpNetwork):
         self.dispatch_pool.close()
 
     # ------------------------------------------------------------------
-    # negotiation
-    # ------------------------------------------------------------------
-    def supports_pipelining(self, src: str, dst: str) -> bool:
-        with self._channels_lock:
-            return dst in self._pipelined_peers
-
-    def _exchange_negotiated(
-        self, src: str, dst: str, request: Message, *, timeout: float | None
-    ) -> Message:
-        """One blocking exchange that doubles as the pipelining probe.
-
-        Unknown peers get the legacy frame with a marked request id; the
-        echo decides the cached verdict.  Peers already marked
-        unsupported get a plain legacy frame — they never see the marker
-        again either.
-        """
-        if not self.peer_caps.assume(dst, PIPELINED_FRAMES):
-            return self._exchange(src, dst, request, timeout=timeout)
-        probe = Message(
-            kind=request.kind,
-            src=request.src,
-            dst=request.dst,
-            payload=request.payload,
-            request_id=_PROBE_ASK + request.request_id,
-        )
-        response = self._exchange(src, dst, probe, timeout=timeout)
-        if response.request_id == _PROBE_ACK + request.request_id:
-            with self._channels_lock:
-                self._pipelined_peers.add(dst)
-        else:
-            self.peer_caps.mark_unsupported(dst, PIPELINED_FRAMES)
-        return response
-
-    # ------------------------------------------------------------------
     # client side
     # ------------------------------------------------------------------
+    def supports_pipelining(self, src: str, dst: str) -> bool:
+        return True
+
     def call(self, src: str, dst: str, payload: bytes, *, timeout: float | None = None) -> bytes:
         self._check_open()
         self._check_route(src, dst)
         request = Message(kind=MessageKind.REQUEST, src=src, dst=dst, payload=payload)
         self._transit(request)
-        if self.supports_pipelining(src, dst):
-            reply = self._submit_pipelined(src, dst, request)
-            wait = timeout if timeout is not None else self._timeout
-            response_payload = reply.result(wait)
-            self._check_route(dst, src)
-            self._transit(request.response(response_payload))
-            return response_payload
-        response = self._exchange_negotiated(src, dst, request, timeout=timeout)
+        reply = self._submit_pipelined(src, dst, request)
+        wait = timeout if timeout is not None else self._timeout
+        response_payload = reply.result(wait)
         self._check_route(dst, src)
-        self._transit(request.response(response.payload))
-        if response.kind is MessageKind.ERROR:
-            raise TransportError(
-                f"remote handler at {dst!r} failed: "
-                f"{response.payload.decode('utf-8', 'replace')}"
-            )
-        return response.payload
+        self._transit(request.response(response_payload))
+        return response_payload
 
     def submit(
         self, src: str, dst: str, payload: bytes, *, timeout: float | None = None
@@ -981,44 +884,34 @@ class ReactorNetwork(TcpNetwork):
         self._check_route(src, dst)
         request = Message(kind=MessageKind.REQUEST, src=src, dst=dst, payload=payload)
         self._transit(request)
-        if self.supports_pipelining(src, dst):
-            return self._submit_pipelined(src, dst, request)
-        # Unknown or legacy peer: complete the exchange inline (the
-        # blocking path IS the probe; once it confirms, the next submit
-        # pipelines for real).
-        reply = PendingReply(request.request_id)
-        try:
-            response = self._exchange_negotiated(src, dst, request, timeout=timeout)
-            if response.kind is MessageKind.ERROR:
-                reply.fail(
-                    TransportError(
-                        f"remote handler at {dst!r} failed: "
-                        f"{response.payload.decode('utf-8', 'replace')}"
-                    )
-                )
-            else:
-                reply.complete(response.payload)
-        except Exception as exc:  # noqa: BLE001 - delivered through the reply
-            reply.fail(exc)
-        return reply
+        return self._submit_pipelined(src, dst, request)
+
+    def cast(self, src: str, dst: str, payload: bytes) -> None:
+        self._check_open()
+        self._check_route(src, dst)
+        message = Message(kind=MessageKind.CAST, src=src, dst=dst, payload=payload)
+        self._transit(message)
+        self._on_live_channel(src, dst, lambda channel: channel.send_cast(message))
 
     def _submit_pipelined(self, src: str, dst: str, request: Message) -> PendingReply:
-        for attempt in (0, 1):
-            channel = self._channel_for(src, dst)
+        def send(channel: _PeerChannel) -> tuple[PendingReply, int]:
             reply = PendingReply(request.request_id, on_cancel=channel.forget)
-            try:
-                in_flight = channel.send_request(request, reply)
-            except TransportError:
-                self._discard_channel(channel)
-                if attempt == 0:
-                    continue  # channel died under us: retry on a fresh one
-                raise
-            self.reactor_stats.record_submit(in_flight)
-            annotate(pipelined=True, in_flight=in_flight)
-            return reply
-        raise TransportError(  # pragma: no cover - loop always returns/raises
-            f"pipelined submit {src!r}->{dst!r} failed"
-        )
+            return reply, channel.send_request(request, reply)
+
+        reply, in_flight = self._on_live_channel(src, dst, send)
+        self.reactor_stats.record_submit(in_flight)
+        annotate(pipelined=True, in_flight=in_flight)
+        return reply
+
+    def _on_live_channel(self, src: str, dst: str, send: Callable[[_PeerChannel], _T]) -> _T:
+        """Run ``send`` on the ``src -> dst`` channel; if that channel died
+        under us, retry once on a fresh one."""
+        channel = self._channel_for(src, dst)
+        try:
+            return send(channel)
+        except TransportError:
+            self._discard_channel(channel)
+        return send(self._channel_for(src, dst))
 
     def _channel_for(self, src: str, dst: str) -> _PeerChannel:
         with self._channels_lock:
@@ -1055,16 +948,3 @@ class ReactorNetwork(TcpNetwork):
             lambda: self._loop.register(sock, interest, fresh.on_events)
         )
         return fresh
-
-    def cast(self, src: str, dst: str, payload: bytes) -> None:
-        if not self.supports_pipelining(src, dst):
-            super().cast(src, dst, payload)
-            return
-        self._check_open()
-        self._check_route(src, dst)
-        message = Message(kind=MessageKind.CAST, src=src, dst=dst, payload=payload)
-        self._transit(message)
-        try:
-            self._channel_for(src, dst).send_cast(message)
-        except TransportError:
-            super().cast(src, dst, payload)  # channel died: legacy fallback

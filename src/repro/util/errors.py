@@ -95,10 +95,8 @@ class TruncatedFrameError(SerializationError, ReplicationError):
 class UnknownWireTagError(SerializationError):
     """The decoder met a tag byte outside the tag table.
 
-    Raised instead of silently misparsing: either the peer speaks a newer
-    protocol (a tag this build does not know), or the stream is corrupt.
-    :attr:`tag` carries the offending byte so negotiation layers can log
-    and downgrade precisely.
+    Raised instead of silently misparsing a corrupt stream.  :attr:`tag`
+    carries the offending byte so callers can log it precisely.
     """
 
     def __init__(self, message: str, *, tag: int = -1):

@@ -1,11 +1,9 @@
 """Seeded defect: a widened state tuple emitted unconditionally (OBI305).
 
-``WideMode`` copied the ``*rest`` compatibility unpack from
-``ReplicationMode`` but not the discipline that makes it work: the
-getter always returns the 4-tuple, so even peers that never set
-``turbo`` ship the widened frame — frames stop being byte-identical
-across versions and the capability negotiation can no longer tell a
-pre-widening peer from an opted-out one.
+``WideMode`` copied the ``*rest`` optional-tail unpack from
+``ReplicationMode`` but not the discipline that makes it pay: the
+getter always returns the 4-tuple, so even callers that never set
+``turbo`` ship the widened frame and its extra bytes.
 """
 
 from repro.serial.registry import global_registry

@@ -16,7 +16,7 @@ from repro.analysis.engine import ModuleSource
 from repro.analysis.wire.cli import main as obiwire_main
 from repro.analysis.wire.diff import diff_specs, has_breaking
 from repro.analysis.wire.extract import extract_modules
-from repro.analysis.wire.spec import WireClass, WireField, WireSpec, WireVerb
+from repro.analysis.wire.spec import WireClass, WireField, WireSpec
 
 REPO = Path(__file__).parents[2]
 SRC = REPO / "src" / "repro"
@@ -99,16 +99,10 @@ class TestExtraction:
         for name in ("core.PutPackage", "rmi.InvokeSuccess", "rmi.NeedFull"):
             assert tree_spec.classes[name].state == "passthrough"
 
-    def test_seed_verbs_flagged(self, tree_spec):
-        assert tree_spec.verbs["get"].seed
-        assert tree_spec.verbs["put"].seed
-        assert not tree_spec.verbs["put_delta"].seed
-
-    def test_negotiated_verbs_carry_fallbacks(self, tree_spec):
-        for verb in ("put_delta", "get_delta"):
-            fallbacks = set(tree_spec.verbs[verb].fallbacks)
-            assert "probe:delta_sync" in fallbacks, verb
-            assert "need_full" in fallbacks, verb
+    def test_issued_verbs_extracted(self, tree_spec):
+        assert tree_spec.verbs == tuple(sorted(tree_spec.verbs))
+        for verb in ("get", "put", "demand", "put_delta", "get_delta", "feed_events"):
+            assert verb in tree_spec.verbs, verb
 
     def test_extraction_is_deterministic(self, tree_spec):
         from repro.analysis.engine import Analyzer
@@ -145,7 +139,7 @@ def _spec(**overrides) -> WireSpec:
                 fields=(WireField("a"), WireField("b")),
             )
         },
-        verbs={"get": WireVerb(seed=True)},
+        verbs=("get",),
     )
     for key, value in overrides.items():
         setattr(base, key, value)
@@ -204,24 +198,12 @@ class TestDiff:
         assert not has_breaking(changes)
         assert any(c.category == "optional-field-added" for c in changes)
 
-    def test_verb_removal_breaking_fallback_addition_compatible(self):
-        gone = _spec(verbs={})
+    def test_verb_removal_breaking_addition_compatible(self):
+        gone = _spec(verbs=())
         assert has_breaking(diff_specs(_spec(), gone))
-        added = _spec(
-            verbs={
-                "get": WireVerb(seed=True),
-                "get_delta": WireVerb(seed=False, fallbacks=("probe:delta_sync",)),
-            }
-        )
-        assert not has_breaking(diff_specs(_spec(), added))
-
-    def test_new_verb_without_fallback_is_breaking(self):
-        added = _spec(
-            verbs={"get": WireVerb(seed=True), "zap": WireVerb(seed=False)}
-        )
-        changes = diff_specs(_spec(), added)
-        assert has_breaking(changes)
-        assert any(c.category == "verb-without-fallback" for c in changes)
+        changes = diff_specs(_spec(), _spec(verbs=("get", "zap")))
+        assert not has_breaking(changes)
+        assert [c.category for c in changes] == ["verb-added"]
 
 
 # ----------------------------------------------------------------------

@@ -1,18 +1,15 @@
-"""obicodec negotiation tests (PR 7).
+"""obicodec knob tests (PR 7).
 
 The ``compiled_codec`` site knob rides the :class:`ReplicationMode` wire
-tuple the way ``prefetch`` and delta sync did: the consumer announces it
-can decode ``OBJECT_SCHEMA`` frames, the provider uses the fast path only
-when both ends opted in, and a pre-codec peer triggers a cached
-reflective downgrade on the put direction.
+tuple the way ``prefetch`` does: the consumer announces it can decode
+``OBJECT_SCHEMA`` frames, and the provider uses the fast path only when
+both ends opted in.
 """
 
 import pytest
 
 from repro.core.interfaces import Incremental, ReplicationMode, _mode_state
 from repro.core.meta import obi_id_of
-from repro.serial import tags
-from repro.util.errors import SerializationError
 from tests.models import Box, Counter
 
 
@@ -24,11 +21,6 @@ def csites(zero_world):
     provider.compiled_codec = True
     consumer.compiled_codec = True
     return provider, consumer
-
-
-def _messages(world) -> int:
-    stats = world.network.stats
-    return stats.link("S1", "S2").messages + stats.link("S2", "S1").messages
 
 
 def _serial(site) -> dict:
@@ -169,65 +161,7 @@ class TestPutDirection:
         assert master.read() == 5
         assert consumer.sync_stats.puts_delta + consumer.sync_stats.puts_full == 1
 
-
-# ----------------------------------------------------------------------
-# pre-codec peer interop
-# ----------------------------------------------------------------------
-class PreCodecProxyIn:
-    """A provider whose decoder predates the ``OBJECT_SCHEMA`` tag.
-
-    Its ``put`` behaves exactly like a pre-PR-7 decoder meeting the new
-    tag byte: a :class:`SerializationError` naming the unknown tag."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def get(self, mode=None):
-        return self._inner.get(mode)
-
-    def put(self, package):
-        for entry in package.entries:
-            if entry.payload and entry.payload[0] == tags.OBJECT_SCHEMA:
-                raise SerializationError(
-                    f"unknown wire tag 0x{tags.OBJECT_SCHEMA:02x}"
-                )
-        return self._inner.put(package)
-
-    def demand(self, mode=None):
-        return self._inner.demand(mode)
-
-    def get_version(self):
-        return self._inner.get_version()
-
-
-def _downgrade_to_pre_codec(provider, master) -> None:
-    oid = obi_id_of(master)
-    ref = provider._provider_refs[provider._stripe_of(oid)][oid]
-    table = provider.endpoint.objects
-    table._objects[ref.object_id] = PreCodecProxyIn(table.get(ref.object_id))
-
-
-class TestPreCodecPeerInterop:
-    def test_put_downgrades_and_caches_the_probe(self, csites):
-        provider, consumer = csites
-        master = Counter(1)
-        provider.export(master, name="counter")
-        replica = consumer.replicate("counter")
-        _downgrade_to_pre_codec(provider, master)
-
-        replica.increment()
-        consumer.put_back(replica)
-        assert master.read() == 2  # retried reflectively
-
-        # The probe is cached per provider site: the next put goes
-        # straight to the reflective frame in one request/response pair.
-        before = _messages(consumer.world)
-        replica.increment()
-        consumer.put_back(replica)
-        assert master.read() == 3
-        assert _messages(consumer.world) == before + 2
-
-    def test_unrelated_remote_errors_still_propagate(self, csites):
+    def test_remote_put_errors_propagate(self, csites):
         provider, consumer = csites
         master = Counter(1)
         provider.export(master, name="counter")

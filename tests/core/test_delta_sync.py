@@ -360,71 +360,9 @@ class TestClusterPutBack:
 
 
 # ----------------------------------------------------------------------
-# satellite: delta/full interop with unversioned peers
+# knob combinations: a consumer with delta sync off
 # ----------------------------------------------------------------------
-class LegacyProxyIn:
-    """A pre-delta provider: PR-2's control surface, no delta verbs."""
-
-    def __init__(self, inner):
-        self._inner = inner
-
-    def get(self, mode=None):
-        return self._inner.get(mode)
-
-    def put(self, package):
-        return self._inner.put(package)
-
-    def demand(self, mode=None):
-        return self._inner.demand(mode)
-
-    def get_version(self):
-        return self._inner.get_version()
-
-
-def _downgrade_to_legacy(provider, master) -> None:
-    """Replace ``master``'s exported proxy-in with a delta-less peer."""
-    oid = obi_id_of(master)
-    ref = provider._provider_refs[provider._stripe_of(oid)][oid]
-    table = provider.endpoint.objects
-    table._objects[ref.object_id] = LegacyProxyIn(table.get(ref.object_id))
-
-
 class TestUnversionedPeerInterop:
-    def test_put_falls_back_to_full_and_caches_the_probe(self, dsites):
-        provider, consumer = dsites
-        master = Box(1)
-        provider.export(master, name="box")
-        _downgrade_to_legacy(provider, master)
-        replica = consumer.replicate("box")
-
-        replica.set(2)
-        consumer.put_back(replica)
-        assert master.get() == 2
-        assert consumer.sync_stats.puts_full == 1
-        assert consumer.sync_stats.puts_delta == 0
-
-        # The failed probe is cached per provider site: the second sync
-        # goes straight to the full put (one request/response pair).
-        before = _messages(consumer.world)
-        replica.set(3)
-        consumer.put_back(replica)
-        assert master.get() == 3
-        assert _messages(consumer.world) == before + 2
-        assert consumer.sync_stats.puts_full == 2
-
-    def test_refresh_falls_back_to_full(self, dsites):
-        provider, consumer = dsites
-        master = Box(1)
-        provider.export(master, name="box")
-        _downgrade_to_legacy(provider, master)
-        replica = consumer.replicate("box")
-        master.value = 9
-        provider.touch(master, fields=("value",))
-        consumer.refresh(replica)
-        assert replica.get() == 9
-        assert consumer.sync_stats.refreshes_full == 1
-        assert consumer.sync_stats.refreshes_delta == 0
-
     def test_unversioned_consumer_against_versioned_provider(self, zero_world):
         provider = zero_world.create_site("S2")
         consumer = zero_world.create_site("S1")

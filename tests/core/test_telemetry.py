@@ -11,8 +11,9 @@ def test_empty_site_snapshot(zsites):
     assert snap.site == "S2"
     assert snap.masters == 0
     assert snap.replicas == 0
-    # S2 hosts the name server (first site of the fixture world).
-    assert snap.exported_objects == 1
+    # S2 hosts the name server (first site of the fixture world) and,
+    # like every site, its feed service.
+    assert snap.exported_objects == 2
 
 
 def test_counts_after_replication(zsites):

@@ -1,18 +1,14 @@
-"""Frame-level interop guarantees for mixed-version deployments (PR 8).
+"""Frame-level guarantees of the ``compiled_codec`` knob (PR 8).
 
-The compiled-codec negotiation promises that an un-upgraded peer never
-has to *parse* an ``OBJECT_SCHEMA`` (0x10) frame it cannot understand:
-providers emit compiled frames only to consumers that announced
-``codec=1``, and consumers stop shipping compiled puts to a provider
-site the moment one probe is rejected.  These tests watch the actual
-payload bytes crossing each proxy-in to prove it.
+``OBJECT_SCHEMA`` (0x10) frames cross the wire only where both ends
+opted in: providers emit compiled frames only to consumers that
+announced ``codec=1``, and a consumer with the knob off never ships one.
+These tests watch the actual payload bytes crossing each proxy-in to
+prove it.
 """
-
-import pytest
 
 from repro.core.meta import obi_id_of
 from repro.serial import tags
-from repro.util.errors import SerializationError
 from tests.models import Counter
 
 
@@ -26,9 +22,8 @@ class RecordingProxyIn:
     """Wraps a proxy-in, recording the first byte of every payload that
     crosses it in either direction."""
 
-    def __init__(self, inner, *, reject_codec=False):
+    def __init__(self, inner):
         self._inner = inner
-        self._reject_codec = reject_codec
         self.sent_tags: list[int] = []
         self.received_tags: list[int] = []
 
@@ -51,11 +46,6 @@ class RecordingProxyIn:
         for entry in package.entries:
             if entry.payload:
                 self.received_tags.append(entry.payload[0])
-        if self._reject_codec and any(
-            entry.payload and entry.payload[0] == tags.OBJECT_SCHEMA
-            for entry in package.entries
-        ):
-            raise SerializationError(f"unknown wire tag 0x{tags.OBJECT_SCHEMA:02x}")
         return self._inner.put(package)
 
 
@@ -98,33 +88,6 @@ class TestGetDirection:
 
 
 class TestPutDirection:
-    def test_downgraded_provider_sees_0x10_exactly_once(self, zero_world):
-        provider = zero_world.create_site("S2")
-        consumer = zero_world.create_site("S1")
-        provider.compiled_codec = True
-        consumer.compiled_codec = True
-        master = Counter(0)
-        provider.export(master, name="counter")
-        replica = consumer.replicate("counter")
-
-        table, object_id = _proxy_in(provider, master)
-        recorder = RecordingProxyIn(table.get(object_id), reject_codec=True)
-        table._objects[object_id] = recorder
-
-        for _ in range(3):
-            replica.increment()
-            consumer.put_back(replica)
-        assert master.read() == 3
-
-        # One probe frame, then the cached verdict keeps every later put
-        # reflective: the pre-codec peer parses 0x10 zero times (its
-        # decoder rejected the single probe before touching state).
-        schema_frames = recorder.received_tags.count(tags.OBJECT_SCHEMA)
-        assert schema_frames == 1
-        assert recorder.received_tags[0] == tags.OBJECT_SCHEMA
-        # Reflective put entries ship the state dict, not a compiled frame.
-        assert all(t == tags.DICT for t in recorder.received_tags[1:])
-
     def test_knobless_consumer_never_ships_0x10(self, zero_world):
         provider = zero_world.create_site("S2")
         consumer = zero_world.create_site("S1")

@@ -96,12 +96,12 @@ class TestPromotion:
         with pytest.raises(StaleEpochError):
             request_promotion(f1.site, "F2", epoch=2)
 
-    def test_promoting_an_unupgraded_site_is_refused(self, group):
+    def test_promoting_a_site_with_no_feed_role_is_refused(self, group):
         world, _primary, _f1, _f2, _box = group
-        world.create_site("OLD")
+        world.create_site("BARE")
         operator = world.sites["F1"]
-        with pytest.raises(FeedError, match="cannot be promoted"):
-            request_promotion(operator, "OLD", epoch=9)
+        with pytest.raises(FeedError, match="no feed role"):
+            request_promotion(operator, "BARE", epoch=9)
 
 
 class TestEpochFencing:

@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.meta import obi_id_of
 from repro.core.packages import FeedSubscribeRequest
+from repro.core.runtime import World
 from repro.core.telemetry import snapshot
 from repro.core.versions import ChangeLog
 from repro.util.errors import FeedError
@@ -41,25 +42,28 @@ class TestSubscribe:
         with pytest.raises(FeedError, match="follower"):
             f1.handle_subscribe(FeedSubscribeRequest(site_id="X", last_serial=0))
 
-    def test_following_an_unupgraded_site_is_refused_cleanly(self, zero_world):
-        zero_world.create_site("OLD")  # speaks the seed protocol only
+    def test_following_a_site_with_no_feed_role_is_refused(self, zero_world):
+        zero_world.create_site("BARE")  # exports the feed service, no role
         joiner = zero_world.create_site("F1")
-        with pytest.raises(FeedError, match="does not speak"):
-            joiner.feed_follow("OLD")
-        assert not joiner.peer_caps.assume("OLD", "feed")
+        with pytest.raises(FeedError, match="no feed role"):
+            joiner.feed_follow("BARE")
 
-    def test_unupgraded_subscriber_is_stalled_not_poisonous(self, group):
-        # An operator subscribes a site that never exported a feed
-        # service; the first (probed) push classifies it and stalls it,
-        # and the healthy followers keep receiving frames.
-        world, primary, f1, _f2, box = group
-        world.create_site("OLD")
-        primary.handle_subscribe(FeedSubscribeRequest(site_id="OLD", last_serial=0))
+    def test_roleless_subscriber_is_stalled_not_poisonous(self, group):
+        # An operator subscribes a site with no follower role; its first
+        # push fails with the site's FeedError and stalls it, and the
+        # healthy followers keep receiving frames.
+        world, primary, f1, f2, box = group
+        world.create_site("BARE")
+        primary.handle_subscribe(FeedSubscribeRequest(site_id="BARE", last_serial=0))
         box.set(2)
         primary.site.touch(box)
         assert mirror_of(f1, box).get() == 2
-        assert "OLD" not in primary.subscriber_serials()
+        assert mirror_of(f2, box).get() == 2
+        assert "BARE" not in primary.subscriber_serials()
         assert primary.site.feed_stats.snapshot()["push_failures"] >= 1
+        box.set(3)
+        primary.site.touch(box)
+        assert mirror_of(f1, box).get() == 3
 
 
 class TestPush:
@@ -88,6 +92,27 @@ class TestPush:
         f1.start("P")
         assert mirror_of(f1, box).get() == 2
         assert f1.site.feed_stats.snapshot()["frames_applied"] == applied_before
+
+    def test_unreachable_follower_is_stalled_on_the_reactor(self):
+        # On the reactor a push to a disconnected follower fails inside
+        # invoke_async itself, before any frame leaves; the primary must
+        # stall that follower, not raise out of the write.
+        with World.reactor() as world:
+            world.create_site("NS")
+            primary_site = world.create_site("P")
+            box = Box(1)
+            primary_site.export(box, name="box")
+            primary = primary_site.feed_primary()
+            f1 = world.create_site("F1").feed_follow("P")
+            f2 = world.create_site("F2").feed_follow("P")
+            box.set(2)
+            primary_site.touch(box)
+            assert mirror_of(f2, box).get() == 2  # the push waits for acks
+            world.network.disconnect("F2")
+            box.set(3)
+            primary_site.touch(box)
+            assert mirror_of(f1, box).get() == 3
+            assert "F2" not in primary.subscriber_serials()
 
 
 class TestCatchUpAndBootstrap:

@@ -29,9 +29,9 @@ def figure1():
 
 def test_situation_a_only_aproxyin_is_remote(figure1):
     world, s2, s1, a, b, c = figure1
-    # Exactly two exported objects on S2: the name server lives on S2
-    # (first site) plus AProxyIn.
-    assert len(s2.endpoint.objects) == 2
+    # Exactly three exported objects on S2: the name server lives on S2
+    # (first site), every site exports its feed service, plus AProxyIn.
+    assert len(s2.endpoint.objects) == 3
     assert s2.is_master(obi_id_of(a))
     assert not s2.is_master(obi_id_of(b))  # B has no proxy-in yet
 
@@ -48,7 +48,7 @@ def test_situation_b_data_structures(figure1):
     world, s2, s1, a, b, c = figure1
     a1 = s1.replicate("a")
     # S2 now has BProxyIn exported (pair created during get).
-    assert len(s2.endpoint.objects) == 3
+    assert len(s2.endpoint.objects) == 4
     # S1 holds A' and one pending proxy-out for B.
     assert s1.is_replica(obi_id_of(a))
     assert isinstance(a1.next, ProxyOutBase)

@@ -1,10 +1,10 @@
 """Trace-context wire compatibility.
 
 The trace field follows the prefetch precedent: an untraced request
-serializes to the legacy 4-tuple — byte-identical to what a pre-tracing
-peer emits and expects — and the 5-tuple only appears when a caller
-actually stamps context.  Mixed deployments (traced consumer against
-untraced provider, and the reverse) must interoperate unchanged.
+serializes to a 4-tuple — one field shorter on every untraced call —
+and the 5-tuple only appears when a caller actually stamps context.
+Sites with tracing on and off (traced consumer against untraced
+provider, and the reverse) must interoperate unchanged.
 """
 
 from __future__ import annotations

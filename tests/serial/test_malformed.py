@@ -78,3 +78,50 @@ def test_corrupt_length_prefix(registry):
     frame = bytes([tags.STR]) + (2**31).to_bytes(4, "big")
     with pytest.raises(SerializationError):
         Decoder(registry).decode(frame)
+
+
+def _object_frame(name: str, state: object) -> bytes:
+    """An OBJECT frame naming ``name`` whose state is ``state``."""
+    from repro.serial import tags
+
+    raw = name.encode("utf-8")
+    body = Encoder(TypeRegistry()).encode(state)
+    return bytes([tags.OBJECT]) + len(raw).to_bytes(4, "big") + raw + body
+
+
+@pytest.mark.parametrize(
+    "state",
+    [
+        (1, 0, False, -5),  # prefetch below its bound
+        (1, 0, False, 0, 7),  # codec outside {0, 1}
+        (-1, 0, False),  # chunk below its bound
+        ("x", 0, False),  # not a number
+        (1, 0, False, 0, 0, 0, 0),  # too wide
+        (1, 0),  # too narrow
+        5,  # not a tuple at all
+    ],
+)
+def test_malformed_replication_mode_is_typed(state):
+    from repro.core import interfaces  # noqa: F401 - registers the class
+    from repro.serial.registry import global_registry
+
+    with pytest.raises(SerializationError, match="ReplicationMode"):
+        Decoder(global_registry).decode(_object_frame("core.ReplicationMode", state))
+
+
+def test_replication_mode_tails_still_decode():
+    from repro.core.interfaces import ReplicationMode
+    from repro.serial.registry import global_registry
+
+    frame = _object_frame("core.ReplicationMode", (2, 0, False, 4, 1))
+    mode = Decoder(global_registry).decode(frame)
+    assert mode == ReplicationMode(chunk=2, prefetch=4, codec=1)
+
+
+@pytest.mark.parametrize("state", [("obj:1", "get", ()), 5])
+def test_malformed_invoke_request_is_typed(state):
+    from repro.rmi import protocol  # noqa: F401 - registers the class
+    from repro.serial.registry import global_registry
+
+    with pytest.raises(SerializationError, match="rmi.InvokeRequest"):
+        Decoder(global_registry).decode(_object_frame("rmi.InvokeRequest", state))

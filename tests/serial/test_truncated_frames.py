@@ -140,8 +140,8 @@ class TestUnknownTag:
             assert info.value.tag == byte
 
     def test_unknown_tag_is_a_serialization_error(self, registry):
-        # The negotiation layer classifies pre-codec peers by this shape:
-        # SerializationError whose text contains "unknown wire tag".
+        # Callers catching SerializationError see this shape, with text
+        # naming the "unknown wire tag".
         with pytest.raises(SerializationError, match="unknown wire tag"):
             Decoder(registry).decode(bytes([0xEE]))
 

@@ -1,11 +1,10 @@
-"""Tests for the obireactor transport: loop, pipelining, negotiation."""
+"""Tests for the obireactor transport: loop, pipelining, wire format."""
 
 import threading
 import time
 
 import pytest
 
-from repro.simnet import tcp as tcp_module
 from repro.simnet.message import MessageKind
 from repro.simnet.reactor import (
     _PERROR,
@@ -64,22 +63,23 @@ class TestBasics:
         net.attach("b", _echo)
         assert net.call("a", "b", b"hello") == b"echo:hello"
 
-    def test_first_call_probes_then_pipelines(self, net):
+    def test_first_call_is_pipelined(self, net):
         net.attach("a", lambda m: None)
         net.attach("b", _echo)
-        assert not net.supports_pipelining("a", "b")
-        net.call("a", "b", b"probe")
         assert net.supports_pipelining("a", "b")
-        before = net.reactor_stats.snapshot()["frames_pipelined"]
-        net.call("a", "b", b"fast")
-        assert net.reactor_stats.snapshot()["frames_pipelined"] == before + 1
+        assert net.call("a", "b", b"first") == b"echo:first"
+        assert net.reactor_stats.snapshot()["frames_pipelined"] == 1
+        for i in range(9):
+            net.call("a", "b", b"n%d" % i)
+        assert net.reactor_stats.snapshot()["frames_pipelined"] == 10
+        assert net.pool_stats.total_created == 0  # the pooled path never ran
 
     def test_large_payload_roundtrip(self, net):
         net.attach("a", lambda m: None)
         net.attach("b", _echo)
         blob = bytes(range(256)) * 4096  # 1 MiB
         assert net.call("a", "b", blob) == b"echo:" + blob
-        assert net.call("a", "b", blob) == b"echo:" + blob  # pipelined round
+        assert net.call("a", "b", blob) == b"echo:" + blob  # warm channel
 
     def test_handler_exception_reported(self, net):
         net.attach("a", lambda m: None)
@@ -90,7 +90,7 @@ class TestBasics:
         net.attach("b", bad)
         with pytest.raises(TransportError, match="remote bug"):
             net.call("a", "b", b"x")
-        # And again on the pipelined path.
+        # And again on the warm channel.
         with pytest.raises(TransportError, match="remote bug"):
             net.call("a", "b", b"x")
 
@@ -107,12 +107,12 @@ class TestBasics:
 
         net.attach("a", lambda m: None)
         net.attach("b", on_cast)
-        net.cast("a", "b", b"legacy-path")  # verdict unknown: pooled cast
-        net.call("a", "b", b"confirm")  # probe: turns pipelining on
-        assert net.supports_pipelining("a", "b")
-        net.cast("a", "b", b"pipelined-path")
+        net.cast("a", "b", b"cold-channel")  # opens the channel
+        net.call("a", "b", b"between")
+        net.cast("a", "b", b"warm-channel")
         assert done.wait(5.0)
-        assert set(received) == {b"legacy-path", b"pipelined-path"}
+        assert set(received) == {b"cold-channel", b"warm-channel"}
+        assert net.pool_stats.total_created == 0
 
     def test_nested_rmi_from_handler(self, net):
         """Dispatch runs off the loop thread, so a handler can call back
@@ -125,7 +125,7 @@ class TestBasics:
 
         net.attach("relay", relay)
         assert net.call("a", "relay", b"deep") == b"echo:deep"
-        # Again once every hop is pipelined.
+        # Again once every hop's channel is open.
         assert net.call("a", "relay", b"deeper") == b"echo:deeper"
 
     def test_detach_then_reattach(self, net):
@@ -238,83 +238,26 @@ class TestPipelinedSemantics:
         assert stats["frames_pipelined"] >= 200
 
 
-class TestInterop:
-    """Un-upgraded peers must never see a correlation-ID frame."""
-
-    def test_legacy_server_never_sees_pipelined_kinds(self, monkeypatch):
-        """Wire-level proof: record every frame kind the legacy
-        thread-per-connection server decodes; none may be >= 5."""
-        seen_kinds = []
-        real_recv = tcp_module._recv_frame
-
-        def spying_recv(sock):
-            message = real_recv(sock)
-            seen_kinds.append(message.kind)
-            return message
-
-        monkeypatch.setattr(tcp_module, "_recv_frame", spying_recv)
-        net = ReactorNetwork(WallClock(), legacy_server_sites=("old",))
-        try:
-            net.attach("new", lambda m: None)
-            net.attach("old", _echo)
-            for i in range(5):
-                assert net.call("new", "old", b"n%d" % i) == b"echo:n%d" % i
-            net.cast("new", "old", b"fire")
-            time.sleep(0.1)
-        finally:
-            net.close()
-        assert seen_kinds, "spy never saw traffic"
-        # The legacy decoder would KeyError on kinds 5-7 before this
-        # assert could even run; the verdict cache is the second witness.
-        assert not net.supports_pipelining("new", "old")
-        assert "pipelined_frames" in net.peer_caps.snapshot().get("old", ())
-
-    def test_legacy_peer_request_ids_round_trip_unmarked(self):
-        """The probe marker lives inside the request id, which a legacy
-        server already echoes verbatim — handlers see the marked id, but
-        the response correlates fine and later calls drop the marker."""
-        net = ReactorNetwork(WallClock(), legacy_server_sites=("old",))
-        try:
-            rids = []
-
-            def recorder(message):
-                rids.append(message.request_id)
-                return b"ok"
-
-            net.attach("new", lambda m: None)
-            net.attach("old", recorder)
-            net.call("new", "old", b"one")
-            net.call("new", "old", b"two")
-        finally:
-            net.close()
-        assert rids[0].startswith("pf?")  # the one-time probe
-        assert not rids[1].startswith("pf?")  # verdict cached: no marker
-
-    def test_plain_tcp_client_against_reactor_server(self):
-        """A wholly un-upgraded client network (plain TcpNetwork) can
-        call into a reactor-served site: the loop speaks legacy kinds."""
+class TestOneWireFormat:
+    def test_plain_tcp_client_is_refused(self):
+        """A threaded TcpNetwork client writes one-frame-per-exchange
+        REQUEST frames, a kind the reactor does not speak: the listener
+        drops that connection and keeps serving pipelined channels."""
         server_net = ReactorNetwork(WallClock())
-        client_net = TcpNetwork(WallClock())
+        client_net = TcpNetwork(WallClock(), timeout=5.0)
         try:
             server_net.attach("provider", _echo)
-            client_net.attach("consumer", lambda m: None)
+            server_net.attach("consumer", lambda m: None)
+            client_net.attach("plain", lambda m: None)
             # Point the client's port directory at the reactor's listener.
             client_net._ports["provider"] = server_net.port_of("provider")
             client_net._handlers["provider"] = _echo  # route check only
-            assert client_net.call("consumer", "provider", b"hi") == b"echo:hi"
-            assert client_net.call("consumer", "provider", b"again") == b"echo:again"
+            with pytest.raises(TransportError):
+                client_net.call("plain", "provider", b"hi")
+            assert server_net.call("consumer", "provider", b"hi") == b"echo:hi"
         finally:
             client_net.close()
             server_net.close()
-
-    def test_upgraded_peers_negotiate_exactly_once(self, net):
-        net.attach("a", lambda m: None)
-        net.attach("b", _echo)
-        for i in range(10):
-            net.call("a", "b", b"n%d" % i)
-        # One probe on the pooled path, everything after is pipelined.
-        assert net.pool_stats.total_created == 1
-        assert net.reactor_stats.snapshot()["frames_pipelined"] == 9
 
 
 class TestBackpressure:
