@@ -12,22 +12,25 @@ from __future__ import annotations
 
 import gc
 import weakref
+from dataclasses import dataclass, field
+
+from repro.util.counters import Counters
 
 
-class GcStats:
+@dataclass
+class GcStats(Counters):
     """Counters and weak tracking for one site's proxy-outs."""
 
-    def __init__(self) -> None:
-        self.proxies_created = 0
-        self.faults_resolved = 0
-        self._resolved_refs: list[weakref.ref] = []
-
-    def track_created(self) -> None:
-        self.proxies_created += 1
+    proxies_created: int = 0
+    faults_resolved: int = 0
+    _resolved_refs: list[weakref.ref] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def track_resolved(self, proxy: object) -> None:
-        """Start watching a spliced-out proxy for collection."""
-        self.faults_resolved += 1
+        """Count a resolved fault and start watching its spliced-out proxy
+        for collection."""
+        self.add(faults_resolved=1)
         self._resolved_refs.append(weakref.ref(proxy))
 
     @property

@@ -48,7 +48,6 @@ from repro.core.replication import (
 from repro.core.striping import (
     DEFAULT_STRIPES,
     NULL_GUARD,
-    StripedStats,
     StripeLock,
     snapshot_read,
     stripe_of,
@@ -70,6 +69,7 @@ from repro.simnet.reactor import ReactorNetwork
 from repro.simnet.tcp import TcpNetwork
 from repro.simnet.threaded import ThreadedNetwork
 from repro.util.clock import Clock, SimClock, WallClock
+from repro.util.counters import Counters
 from repro.util.errors import (
     ClusterError,
     ReplicationError,
@@ -97,15 +97,12 @@ class MasterRecord:
 
 
 @dataclass
-class FaultPathStats:
+class FaultPathStats(Counters):
     """Counters for the batched/prefetching fault fast path.
 
     Faulting threads race on these (coalesced faults exist precisely
     because resolution is concurrent), so increments go through
-    :meth:`add` under the internal lock — a bare ``+= 1`` loses counts
-    across a read-modify-write.  Reading individual attributes is fine
-    for monitoring; use :meth:`snapshot` when the three counters must be
-    mutually consistent.
+    :meth:`add` under the lock.
     """
 
     #: Demand round trips that went through the batched fast path
@@ -118,45 +115,6 @@ class FaultPathStats:
     #: Faults that waited on another thread's in-flight demand instead of
     #: issuing a duplicate round trip.
     coalesced_faults: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(
-        self,
-        *,
-        demands_batched: int = 0,
-        prefetch_hits: int = 0,
-        coalesced_faults: int = 0,
-    ) -> None:
-        """Atomically bump any subset of the counters."""
-        with self._lock:
-            self.demands_batched += demands_batched
-            self.prefetch_hits += prefetch_hits
-            self.coalesced_faults += coalesced_faults
-
-    def snapshot(self) -> dict[str, int]:
-        """A mutually-consistent reading of all three counters."""
-        with self._lock:
-            return {
-                "demands_batched": self.demands_batched,
-                "prefetch_hits": self.prefetch_hits,
-                "coalesced_faults": self.coalesced_faults,
-            }
-
-    def reset(self) -> dict[str, int]:
-        """Zero the counters; returns the values they had (snapshot-then-
-        reset is atomic, so no increment can fall between the two)."""
-        with self._lock:
-            before = {
-                "demands_batched": self.demands_batched,
-                "prefetch_hits": self.prefetch_hits,
-                "coalesced_faults": self.coalesced_faults,
-            }
-            self.demands_batched = 0
-            self.prefetch_hits = 0
-            self.coalesced_faults = 0
-        return before
 
 
 class _InflightDemand:
@@ -215,9 +173,9 @@ class Site:
         #: (``stripes=1, snapshot_reads=False`` reproduces the old
         #: single-global-RLock runtime).
         self._snapshot_reads = snapshot_reads
-        self.fault_stats = StripedStats(FaultPathStats, count)
-        self.sync_stats = StripedStats(SyncPathStats, count)
-        self.serial_stats = StripedStats(SerialPathStats, count)
+        self.fault_stats = FaultPathStats()
+        self.sync_stats = SyncPathStats()
+        self.serial_stats = SerialPathStats()
         #: Causal tracer (obitrace, PR 5).  :data:`NULL_TRACER` — whose
         #: ``span()`` hands back one shared no-op context manager — until
         #: :meth:`enable_tracing` swaps in a live one.  Shared with the
@@ -394,7 +352,7 @@ class Site:
         with self.tracer.span("put_back", name=oid) as span:
             snap = self.dirty_tracker.capture(replica) if self.delta_sync else None
             if snap is not None and snap.clean:
-                self.sync_stats.add(oid=oid, puts_noop=1)
+                self.sync_stats.add(puts_noop=1)
                 span.set(path="noop")
                 return info.version
             if snap is not None and not snap.whole:
@@ -417,7 +375,7 @@ class Site:
                 )
             info.version = version
             self._rebaseline_after_full_put([replica], [snap])
-            self.sync_stats.add(oid=oid, puts_full=1)
+            self.sync_stats.add(puts_full=1)
             span.set(path="full")
             return version
 
@@ -448,7 +406,7 @@ class Site:
                     if not snap.clean
                 ]
                 if not dirty:
-                    self.sync_stats.add(oid=obi_id_of(root), puts_noop=1)
+                    self.sync_stats.add(puts_noop=1)
                     versions_held: dict[str, int] = {}
                     for member in members:
                         oid = obi_id_of(member)
@@ -466,7 +424,7 @@ class Site:
         versions = self.endpoint.invoke(info.provider, "put", (package,))
         self._apply_versions(versions)
         self._rebaseline_after_full_put(members, snaps)
-        self.sync_stats.add(oid=obi_id_of(root), puts_full=1)
+        self.sync_stats.add(puts_full=1)
         return versions
 
     def _apply_versions(self, versions: dict[str, int]) -> None:
@@ -928,7 +886,7 @@ class Site:
         proxy = entry.proxy_out_cls(self, target_id, provider, entry.interface, mode)
         with self._proxies_lock:
             self._pending_proxies[target_id] = proxy
-        self.gc_stats.track_created()
+        self.gc_stats.add(proxies_created=1)
         return proxy
 
     def resolve_fault(self, proxy: ProxyOutBase) -> object:

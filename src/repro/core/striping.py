@@ -12,10 +12,10 @@ the benchmarks share one vocabulary:
 * :func:`snapshot_read` — the declaration marker for lock-free read
   paths.  obiflow keys on it: a declared snapshot read may read striped
   tables and guarded fields without their locks (OBI203/OBI207 exempt
-  the reads) but must not mutate guarded state, transitively (OBI209);
-* :class:`StripedStats` — per-stripe shards of a counter dataclass
-  (``FaultPathStats``, ``SyncPathStats``) merged on read, so hot-path
-  threads on different stripes never touch the same counter lock.
+  the reads) but must not mutate guarded state, transitively (OBI209).
+
+Only the object tables are striped.  A site's counters are one
+:class:`~repro.util.counters.Counters` instance per kind.
 
 Striping is node-local: nothing here crosses the wire, so striped and
 un-striped sites interoperate unchanged.
@@ -111,71 +111,3 @@ class StripeLock:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StripeLock(waits={self.waits}, max_depth={self.max_depth})"
-
-
-class StripedStats:
-    """Per-stripe shards of a counter object, merged on read.
-
-    Wraps ``stripes`` instances built by ``factory`` (any class with the
-    ``add(**counters)`` / ``snapshot()`` / ``reset()`` protocol of
-    ``FaultPathStats`` and ``SyncPathStats``).  Keyed adds route by
-    :func:`stripe_of` so threads working different stripes bump disjoint
-    shards; unkeyed adds route by thread identity, which spreads
-    uncorrelated callers without any shared state.
-
-    Reading a counter attribute sums it across shards, so existing
-    consumers (telemetry, the consistency layer, tests asserting
-    ``site.sync_stats.puts_delta``) see the same totals they always did.
-    """
-
-    def __init__(self, factory: Callable[[], object], stripes: int):
-        if stripes < 1:
-            raise ValueError(f"stripes must be >= 1, got {stripes}")
-        self._shards = [factory() for _ in range(stripes)]
-        self._fields = tuple(self._shards[0].snapshot())
-
-    def shard_for(self, oid: str | None = None):
-        """The shard a keyed (or thread-routed) add lands in."""
-        if oid is None:
-            index = threading.get_ident() % len(self._shards)
-        else:
-            index = stripe_of(oid, len(self._shards))
-        return self._shards[index]
-
-    def add(self, *, oid: str | None = None, **counters: int) -> None:
-        """Atomically bump counters on the owning shard."""
-        self.shard_for(oid).add(**counters)
-
-    def snapshot(self) -> dict[str, int]:
-        """Counter totals summed across every shard."""
-        merged = dict.fromkeys(self._fields, 0)
-        for shard in self._shards:
-            for name, value in shard.snapshot().items():
-                merged[name] += value
-        return merged
-
-    def reset(self) -> dict[str, int]:
-        """Zero every shard; returns the pre-reset totals."""
-        merged = dict.fromkeys(self._fields, 0)
-        for shard in self._shards:
-            for name, value in shard.reset().items():
-                merged[name] += value
-        return merged
-
-    def per_stripe(self) -> list[dict[str, int]]:
-        """One snapshot per shard, in stripe order."""
-        return [shard.snapshot() for shard in self._shards]
-
-    def __getattr__(self, name: str):
-        if name.startswith("_"):
-            raise AttributeError(name)
-        if name in self._fields:
-            return sum(getattr(shard, name) for shard in self._shards)
-        raise AttributeError(
-            f"{type(self).__name__} has no counter {name!r} "
-            f"(shards expose {', '.join(self._fields)})"
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        totals = ", ".join(f"{k}={v}" for k, v in self.snapshot().items())
-        return f"StripedStats({len(self._shards)} stripes, {totals})"

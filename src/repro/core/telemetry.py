@@ -9,29 +9,28 @@ traffic it has generated and where the simulated time went.  A
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from repro.simnet.reactor import ReactorStats
+from repro.util.counters import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runtime import Site
 
 
 @dataclass
-class SyncPathStats:
+class SyncPathStats(Counters):
     """Counters for the delta synchronization path (PR 4).
 
     Application threads and dispatcher threads both sync replicas, so
-    increments go through :meth:`add` under the internal lock, exactly
-    like ``FaultPathStats`` — a bare ``+= 1`` loses counts across a
-    read-modify-write.  Reading individual attributes is fine for
-    monitoring; :meth:`snapshot` gives a mutually-consistent reading.
+    increments go through :meth:`add` under the lock.
     """
 
     #: Write-backs that shipped only changed fields.
     puts_delta: int = 0
-    #: Write-backs that shipped full state (delta off, unsupported peer,
-    #: whole-object fallback, or a ``NEED_FULL`` downgrade retry).
+    #: Write-backs that shipped full state (delta off, whole-object
+    #: fallback, or a ``NEED_FULL`` downgrade retry).
     puts_full: int = 0
     #: Write-backs skipped entirely because the replica was clean.
     puts_noop: int = 0
@@ -44,75 +43,17 @@ class SyncPathStats:
     #: Delta attempts the peer answered with ``NEED_FULL`` (or whose
     #: merged state failed the fingerprint check locally).
     need_full_downgrades: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(
-        self,
-        *,
-        puts_delta: int = 0,
-        puts_full: int = 0,
-        puts_noop: int = 0,
-        refreshes_delta: int = 0,
-        refreshes_full: int = 0,
-        delta_bytes_saved: int = 0,
-        need_full_downgrades: int = 0,
-    ) -> None:
-        """Atomically bump any subset of the counters."""
-        with self._lock:
-            self.puts_delta += puts_delta
-            self.puts_full += puts_full
-            self.puts_noop += puts_noop
-            self.refreshes_delta += refreshes_delta
-            self.refreshes_full += refreshes_full
-            self.delta_bytes_saved += delta_bytes_saved
-            self.need_full_downgrades += need_full_downgrades
-
-    def snapshot(self) -> dict[str, int]:
-        """A mutually-consistent reading of all counters."""
-        with self._lock:
-            return {
-                "puts_delta": self.puts_delta,
-                "puts_full": self.puts_full,
-                "puts_noop": self.puts_noop,
-                "refreshes_delta": self.refreshes_delta,
-                "refreshes_full": self.refreshes_full,
-                "delta_bytes_saved": self.delta_bytes_saved,
-                "need_full_downgrades": self.need_full_downgrades,
-            }
-
-    def reset(self) -> dict[str, int]:
-        """Zero the counters; returns the values they had."""
-        with self._lock:
-            before = {
-                "puts_delta": self.puts_delta,
-                "puts_full": self.puts_full,
-                "puts_noop": self.puts_noop,
-                "refreshes_delta": self.refreshes_delta,
-                "refreshes_full": self.refreshes_full,
-                "delta_bytes_saved": self.delta_bytes_saved,
-                "need_full_downgrades": self.need_full_downgrades,
-            }
-            self.puts_delta = 0
-            self.puts_full = 0
-            self.puts_noop = 0
-            self.refreshes_delta = 0
-            self.refreshes_full = 0
-            self.delta_bytes_saved = 0
-            self.need_full_downgrades = 0
-        return before
 
 
 @dataclass
-class SerialPathStats:
+class SerialPathStats(Counters):
     """Counters for the serializer (obicodec, PR 7).
 
     Frames are encoded/decoded on application *and* dispatcher threads,
-    so increments go through :meth:`add` under the lock, like
-    :class:`SyncPathStats`.  Time is real nanoseconds
-    (:func:`repro.util.clock.perf_ns`), not simulated cost-model time:
-    the point is to see what the serializer itself costs.
+    so increments go through :meth:`add` under the lock.  Time is real
+    nanoseconds (:func:`repro.util.clock.perf_ns`), not simulated
+    cost-model time: the point is to see what the serializer itself
+    costs.
     """
 
     #: Objects encoded through a compiled OBJECT_SCHEMA codec.
@@ -128,75 +69,18 @@ class SerialPathStats:
     #: Wall nanoseconds spent inside encode() / decode().
     encode_ns: int = 0
     decode_ns: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(
-        self,
-        *,
-        encodes_fast: int = 0,
-        encodes_reflective: int = 0,
-        decodes_fast: int = 0,
-        frames_encoded: int = 0,
-        frames_decoded: int = 0,
-        encode_ns: int = 0,
-        decode_ns: int = 0,
-    ) -> None:
-        """Atomically bump any subset of the counters."""
-        with self._lock:
-            self.encodes_fast += encodes_fast
-            self.encodes_reflective += encodes_reflective
-            self.decodes_fast += decodes_fast
-            self.frames_encoded += frames_encoded
-            self.frames_decoded += frames_decoded
-            self.encode_ns += encode_ns
-            self.decode_ns += decode_ns
-
-    def snapshot(self) -> dict[str, int]:
-        """A mutually-consistent reading of all counters."""
-        with self._lock:
-            return {
-                "encodes_fast": self.encodes_fast,
-                "encodes_reflective": self.encodes_reflective,
-                "decodes_fast": self.decodes_fast,
-                "frames_encoded": self.frames_encoded,
-                "frames_decoded": self.frames_decoded,
-                "encode_ns": self.encode_ns,
-                "decode_ns": self.decode_ns,
-            }
-
-    def reset(self) -> dict[str, int]:
-        """Zero the counters; returns the values they had."""
-        with self._lock:
-            before = {
-                "encodes_fast": self.encodes_fast,
-                "encodes_reflective": self.encodes_reflective,
-                "decodes_fast": self.decodes_fast,
-                "frames_encoded": self.frames_encoded,
-                "frames_decoded": self.frames_decoded,
-                "encode_ns": self.encode_ns,
-                "decode_ns": self.decode_ns,
-            }
-            self.encodes_fast = 0
-            self.encodes_reflective = 0
-            self.decodes_fast = 0
-            self.frames_encoded = 0
-            self.frames_decoded = 0
-            self.encode_ns = 0
-            self.decode_ns = 0
-        return before
 
 
 @dataclass
-class FeedStats:
+class FeedStats(Counters):
     """Counters and gauges for the change-feed layer (obifeed, PR 10).
 
     Feed frames are pushed from whatever thread recorded the change and
-    applied on dispatcher threads, so counter bumps go through
-    :meth:`add` under the lock like :class:`SyncPathStats`.  The gauges
-    (``role``/``epoch``/``lag_serials``) are set, not accumulated.
+    applied on dispatcher threads.  The gauges (``role``/``epoch``/
+    ``lag_serials``) are written by :meth:`set`, not accumulated.
     """
+
+    GAUGES = frozenset({"role", "epoch", "lag_serials"})
 
     #: ``"none"``, ``"primary"``, ``"follower"`` or ``"demoted"``.
     role: str = "none"
@@ -223,96 +107,6 @@ class FeedStats:
     write_throughs: int = 0
     #: Pushes that failed to reach a subscriber (marked stalled).
     push_failures: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def add(
-        self,
-        *,
-        frames_pushed: int = 0,
-        frames_applied: int = 0,
-        stale_epoch_rejects: int = 0,
-        catch_up_events: int = 0,
-        snapshots_served: int = 0,
-        snapshot_bootstraps: int = 0,
-        promotions: int = 0,
-        write_throughs: int = 0,
-        push_failures: int = 0,
-    ) -> None:
-        """Atomically bump any subset of the counters."""
-        with self._lock:
-            self.frames_pushed += frames_pushed
-            self.frames_applied += frames_applied
-            self.stale_epoch_rejects += stale_epoch_rejects
-            self.catch_up_events += catch_up_events
-            self.snapshots_served += snapshots_served
-            self.snapshot_bootstraps += snapshot_bootstraps
-            self.promotions += promotions
-            self.write_throughs += write_throughs
-            self.push_failures += push_failures
-
-    def set_gauges(
-        self,
-        *,
-        role: str | None = None,
-        epoch: int | None = None,
-        lag_serials: int | None = None,
-    ) -> None:
-        """Set any subset of the point-in-time gauges."""
-        with self._lock:
-            if role is not None:
-                self.role = role
-            if epoch is not None:
-                self.epoch = epoch
-            if lag_serials is not None:
-                self.lag_serials = lag_serials
-
-    def snapshot(self) -> dict[str, object]:
-        """A mutually-consistent reading of gauges and counters."""
-        with self._lock:
-            return {
-                "role": self.role,
-                "epoch": self.epoch,
-                "lag_serials": self.lag_serials,
-                "frames_pushed": self.frames_pushed,
-                "frames_applied": self.frames_applied,
-                "stale_epoch_rejects": self.stale_epoch_rejects,
-                "catch_up_events": self.catch_up_events,
-                "snapshots_served": self.snapshots_served,
-                "snapshot_bootstraps": self.snapshot_bootstraps,
-                "promotions": self.promotions,
-                "write_throughs": self.write_throughs,
-                "push_failures": self.push_failures,
-            }
-
-    def reset(self) -> dict[str, object]:
-        """Zero the counters (gauges keep their values); returns the prior reading."""
-        with self._lock:
-            before = {
-                "role": self.role,
-                "epoch": self.epoch,
-                "lag_serials": self.lag_serials,
-                "frames_pushed": self.frames_pushed,
-                "frames_applied": self.frames_applied,
-                "stale_epoch_rejects": self.stale_epoch_rejects,
-                "catch_up_events": self.catch_up_events,
-                "snapshots_served": self.snapshots_served,
-                "snapshot_bootstraps": self.snapshot_bootstraps,
-                "promotions": self.promotions,
-                "write_throughs": self.write_throughs,
-                "push_failures": self.push_failures,
-            }
-            self.frames_pushed = 0
-            self.frames_applied = 0
-            self.stale_epoch_rejects = 0
-            self.catch_up_events = 0
-            self.snapshots_served = 0
-            self.snapshot_bootstraps = 0
-            self.promotions = 0
-            self.write_throughs = 0
-            self.push_failures = 0
-        return before
 
 
 @dataclass(frozen=True, slots=True)
@@ -455,18 +249,9 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
     connections_reused = (
         pool_stats.reused_from(site.name) if pool_stats is not None else 0
     )
-    reactor_stats = getattr(site.world.network, "reactor_stats", None)
-    reactor = (
-        reactor_stats.snapshot()
-        if reactor_stats is not None
-        else {
-            "connections_open": 0,
-            "connections_high_water": 0,
-            "frames_pipelined": 0,
-            "in_flight_high_water": 0,
-            "loop_lag_max_s": 0.0,
-        }
-    )
+    reactor_stats = getattr(site.world.network, "reactor_stats", None) or ReactorStats()
+    reactor = reactor_stats.snapshot()
+    fault = site.fault_stats.snapshot()
     sync = site.sync_stats.snapshot()
     serial = site.serial_stats.snapshot()
     feed = site.feed_stats.snapshot()
@@ -494,9 +279,9 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
         bytes_received=bytes_received,
         messages_sent=messages_sent,
         messages_received=messages_received,
-        demands_batched=site.fault_stats.demands_batched,
-        prefetch_hits=site.fault_stats.prefetch_hits,
-        coalesced_faults=site.fault_stats.coalesced_faults,
+        demands_batched=fault["demands_batched"],
+        prefetch_hits=fault["prefetch_hits"],
+        coalesced_faults=fault["coalesced_faults"],
         connections_reused=connections_reused,
         puts_delta=sync["puts_delta"],
         puts_full=sync["puts_full"],

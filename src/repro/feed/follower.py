@@ -70,7 +70,7 @@ class FeedFollower:
         #: name-server binding → oid (rebound on promotion).
         self._names: dict[str, str] = {}
         site.feed_role = self
-        site.feed_stats.set_gauges(role="follower", epoch=self._epoch)
+        site.feed_stats.set(role="follower", epoch=self._epoch)
 
     # ------------------------------------------------------------------
     # subscription lifecycle
@@ -113,7 +113,7 @@ class FeedFollower:
         else:
             self._adopt_epoch(reply.epoch)
         lag = max(0, reply.latest_serial - self.last_applied_serial)
-        site.feed_stats.set_gauges(role="follower", lag_serials=lag)
+        site.feed_stats.set(role="follower", lag_serials=lag)
 
     def _bootstrap(self, primary: "RemoteRef") -> None:
         site = self.site
@@ -159,7 +159,7 @@ class FeedFollower:
             if epoch > self._epoch:
                 self._epoch = epoch
         self.site.change_log.adopt_epoch(epoch)
-        self.site.feed_stats.set_gauges(epoch=self.site.change_log.epoch)
+        self.site.feed_stats.set(epoch=self.site.change_log.epoch)
 
     # ------------------------------------------------------------------
     # verb handlers (dispatched by FeedService)
@@ -188,9 +188,7 @@ class FeedFollower:
         with self._applied:
             applied_serial = self._last_applied
             epoch = self._epoch
-        site.feed_stats.set_gauges(
-            lag_serials=max(0, batch.latest_serial - applied_serial)
-        )
+        site.feed_stats.set(lag_serials=max(0, batch.latest_serial - applied_serial))
         return FeedAck(epoch=epoch, applied_serial=applied_serial, accepted=True)
 
     def _note_applied(self, frame: "FeedFrame", *, serial: int) -> None:

@@ -84,7 +84,7 @@ class FeedPrimary:
         site.feed_role = self
         self._seed_journal()
         site.change_log.subscribe(self._on_event)
-        site.feed_stats.set_gauges(role="primary", epoch=self.epoch, lag_serials=0)
+        site.feed_stats.set(role="primary", epoch=self.epoch, lag_serials=0)
 
     def _seed_journal(self) -> None:
         """Journal every master the journal does not cover yet.
@@ -181,7 +181,7 @@ class FeedPrimary:
         self._active = False
         self.site.change_log.unsubscribe(self._on_event)
         self.site.change_log.adopt_epoch(new_epoch)
-        self.site.feed_stats.set_gauges(role="demoted", epoch=new_epoch)
+        self.site.feed_stats.set(role="demoted", epoch=new_epoch)
 
     # ------------------------------------------------------------------
     # verb handlers (dispatched by FeedService)
@@ -338,7 +338,7 @@ class FeedPrimary:
         """Stop observing the journal (simulates primary death in tests)."""
         self._active = False
         self.site.change_log.unsubscribe(self._on_event)
-        self.site.feed_stats.set_gauges(role="none")
+        self.site.feed_stats.set(role="none")
 
     def __repr__(self) -> str:
         with self._lock:

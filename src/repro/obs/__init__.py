@@ -3,8 +3,9 @@
 The paper trades one big transfer for a *cascade* of small demand-driven
 ones (get → fault → demand → splice → forward).  This package makes that
 cascade observable as spans — timed, attributed, causally linked records
-of each protocol step — where the aggregate counters
-(``FaultPathStats``, ``SyncPathStats``) only say *how many* and the
+of each protocol step — where the aggregate counters (the
+:class:`~repro.util.counters.Counters` behind ``site.fault_stats``,
+``site.sync_stats`` and the rest) only say *how many* and the
 frame log (:mod:`repro.simnet.trace`) only says *what moved*.
 
 Layers:

@@ -58,13 +58,14 @@ import selectors
 import socket
 import struct
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, TypeVar
 
 from repro.obs.context import annotate
 from repro.simnet.message import Message, MessageKind
 from repro.simnet.network import PendingReply
 from repro.simnet.tcp import _HEADER, _KIND_CODES, TcpNetwork, _close_quietly
+from repro.util.counters import Counters
 from repro.util.errors import TransportError
 
 #: Pipelined frame kinds.  The threaded transport's codec (kinds 1–4)
@@ -152,9 +153,13 @@ class _FrameParser:
 
 
 @dataclass
-class ReactorStats:
-    """Counters for the reactor loop, locked like ``SerialPathStats``:
-    the loop thread, worker threads and caller threads all report here."""
+class ReactorStats(Counters):
+    """Counters for the reactor loop: the loop thread, worker threads and
+    caller threads all report here.  The ``record_*`` methods move a
+    high-water mark together with its counter under the one lock."""
+
+    #: ``connections_open`` is a level, not a count: :meth:`reset` keeps it.
+    GAUGES = frozenset({"connections_open"})
 
     #: Inbound connections the loop has accepted over its lifetime.
     connections_accepted: int = 0
@@ -171,9 +176,6 @@ class ReactorStats:
     loop_wakeups: int = 0
     #: Worst observed command latency: enqueue → loop pickup, seconds.
     loop_lag_max_s: float = 0.0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def record_open(self, delta: int, *, accepted: bool = False) -> None:
         with self._lock:
@@ -189,28 +191,11 @@ class ReactorStats:
             if in_flight > self.in_flight_high_water:
                 self.in_flight_high_water = in_flight
 
-    def record_backpressure_wait(self) -> None:
-        with self._lock:
-            self.backpressure_waits += 1
-
     def record_wakeup(self, lag_s: float) -> None:
         with self._lock:
             self.loop_wakeups += 1
             if lag_s > self.loop_lag_max_s:
                 self.loop_lag_max_s = lag_s
-
-    def snapshot(self) -> dict[str, float]:
-        with self._lock:
-            return {
-                "connections_accepted": self.connections_accepted,
-                "connections_open": self.connections_open,
-                "connections_high_water": self.connections_high_water,
-                "frames_pipelined": self.frames_pipelined,
-                "in_flight_high_water": self.in_flight_high_water,
-                "backpressure_waits": self.backpressure_waits,
-                "loop_wakeups": self.loop_wakeups,
-                "loop_lag_max_s": self.loop_lag_max_s,
-            }
 
 
 class _DispatchPool:
@@ -314,7 +299,7 @@ class _Conn:
             if self.closed:
                 raise TransportError("connection is closed")
             while wait and self._buffered >= high_water and not self.closed:
-                stats.record_backpressure_wait()
+                stats.add(backpressure_waits=1)
                 self._cond.wait(1.0)
             if self.closed:
                 raise TransportError("connection is closed")

@@ -11,9 +11,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+from repro.util.counters import Counters
+
 
 @dataclass
-class LinkStats:
+class LinkStats(Counters):
     """Counters for one ordered site pair (src → dst)."""
 
     messages: int = 0
@@ -21,11 +23,6 @@ class LinkStats:
     transfer_seconds: float = 0.0
     drops: int = 0
     rejected_disconnected: int = 0
-
-    def record(self, size: int, seconds: float) -> None:
-        self.messages += 1
-        self.bytes += size
-        self.transfer_seconds += seconds
 
 
 @dataclass
@@ -37,16 +34,19 @@ class NetworkStats:
 
     def link(self, src: str, dst: str) -> LinkStats:
         with self._lock:
-            return self.per_link.setdefault((src, dst), LinkStats())
+            stats = self.per_link.get((src, dst))
+            if stats is None:
+                stats = self.per_link[(src, dst)] = LinkStats()
+            return stats
 
     def record(self, src: str, dst: str, size: int, seconds: float) -> None:
-        self.link(src, dst).record(size, seconds)
+        self.link(src, dst).add(messages=1, bytes=size, transfer_seconds=seconds)
 
     def record_drop(self, src: str, dst: str) -> None:
-        self.link(src, dst).drops += 1
+        self.link(src, dst).add(drops=1)
 
     def record_rejected(self, src: str, dst: str) -> None:
-        self.link(src, dst).rejected_disconnected += 1
+        self.link(src, dst).add(rejected_disconnected=1)
 
     # ------------------------------------------------------------------
     # aggregates

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from repro.obs.context import annotate
 from repro.simnet.message import Message, MessageKind
 from repro.simnet.network import Network
+from repro.util.counters import Counters
 from repro.util.errors import TransportError
 
 _HEADER = struct.Struct("!B I")  # kind, payload length
@@ -89,7 +90,7 @@ def _recv_frame(sock: socket.socket) -> Message:
 
 
 @dataclass
-class _PairPoolStats:
+class _PairPoolStats(Counters):
     """Connection accounting for one ordered site pair."""
 
     created: int = 0
@@ -105,19 +106,16 @@ class PoolStats:
 
     def pair(self, src: str, dst: str) -> _PairPoolStats:
         with self._lock:
-            return self.per_pair.setdefault((src, dst), _PairPoolStats())
+            stats = self.per_pair.get((src, dst))
+            if stats is None:
+                stats = self.per_pair[(src, dst)] = _PairPoolStats()
+            return stats
 
     def record_created(self, src: str, dst: str) -> None:
-        # The bump must happen under the same lock that guards the table:
-        # incrementing the pair returned by ``pair()`` would race once the
-        # lock is released (+= is a read-modify-write).  ``pair()`` cannot
-        # be reused here — the lock is not reentrant.
-        with self._lock:
-            self.per_pair.setdefault((src, dst), _PairPoolStats()).created += 1
+        self.pair(src, dst).add(created=1)
 
     def record_reused(self, src: str, dst: str) -> None:
-        with self._lock:
-            self.per_pair.setdefault((src, dst), _PairPoolStats()).reused += 1
+        self.pair(src, dst).add(reused=1)
 
     @property
     def total_created(self) -> int:

@@ -1,4 +1,5 @@
-"""FaultPathStats and PoolStats counter semantics under concurrency.
+"""Counter semantics under concurrency: the ``Counters`` contract, and the
+``PoolStats``/``NetworkStats`` pair tables built on it.
 
 The fault path exists because resolution is concurrent, so its own
 bookkeeping must be exact under the same concurrency: N threads adding
@@ -8,13 +9,33 @@ to adders (no increment may vanish between the snapshot and the zeroing).
 
 from __future__ import annotations
 
+import sys
 import threading
+from dataclasses import fields
 
+import pytest
+
+from repro.core.gc_stats import GcStats
 from repro.core.runtime import FaultPathStats
-from repro.simnet.tcp import PoolStats
+from repro.core.telemetry import FeedStats, SerialPathStats, SyncPathStats
+from repro.simnet.reactor import ReactorStats
+from repro.simnet.stats import LinkStats, NetworkStats
+from repro.simnet.tcp import PoolStats, _PairPoolStats
+from repro.util.counters import Counters
 
 THREADS = 8
 PER_THREAD = 300
+
+COUNTER_TYPES = [
+    FaultPathStats,
+    SyncPathStats,
+    SerialPathStats,
+    FeedStats,
+    ReactorStats,
+    LinkStats,
+    _PairPoolStats,
+    GcStats,
+]
 
 
 def _hammer(worker, threads=THREADS):
@@ -25,10 +46,86 @@ def _hammer(worker, threads=THREADS):
         worker()
 
     pool = [threading.Thread(target=run) for _ in range(threads)]
-    for thread in pool:
-        thread.start()
-    for thread in pool:
-        thread.join()
+    # A short switch interval makes a lost read-modify-write likely.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+
+
+def _counter_names(cls):
+    return [f.name for f in fields(cls) if not f.name.startswith("_") and f.name not in cls.GAUGES]
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_counters_subclass_is_covered():
+    assert set(_subclasses(Counters)) == set(COUNTER_TYPES)
+
+
+@pytest.mark.parametrize("cls", COUNTER_TYPES, ids=lambda cls: cls.__name__)
+class TestCountersContract:
+    def test_zero_defaults(self, cls):
+        stats = cls()
+        stats.add()
+        snap = stats.snapshot()
+        assert list(snap) == [f.name for f in fields(cls) if not f.name.startswith("_")]
+        assert all(snap[name] == 0 for name in _counter_names(cls))
+
+    def test_concurrent_adds_are_exact(self, cls):
+        stats = cls()
+        names = _counter_names(cls)
+
+        def worker():
+            for _ in range(PER_THREAD):
+                stats.add(**{name: 1 for name in names})
+
+        _hammer(worker)
+        snap = stats.snapshot()
+        assert all(snap[name] == THREADS * PER_THREAD for name in names)
+
+    def test_reset_returns_prior_reading_and_zeroes(self, cls):
+        stats = cls()
+        names = _counter_names(cls)
+        stats.add(**{name: i + 1 for i, name in enumerate(names)})
+        before = stats.reset()
+        assert [before[name] for name in names] == list(range(1, len(names) + 1))
+        assert all(stats.snapshot()[name] == 0 for name in names)
+
+    def test_unknown_name_raises_and_changes_nothing(self, cls):
+        stats = cls()
+        first = _counter_names(cls)[0]
+        with pytest.raises(TypeError, match="no_such_counter"):
+            stats.add(**{first: 1, "no_such_counter": 1})
+        with pytest.raises(TypeError, match=first):
+            stats.set(**{first: 5})
+        assert stats.snapshot() == cls().snapshot()
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in COUNTER_TYPES if cls.GAUGES], ids=lambda cls: cls.__name__
+)
+def test_gauges_survive_reset(cls):
+    stats = cls()
+    gauges = {name: "g" if isinstance(getattr(stats, name), str) else 7 for name in cls.GAUGES}
+    stats.set(**gauges)
+    stats.add(**{name: 1 for name in _counter_names(cls)})
+    stats.reset()
+    snap = stats.snapshot()
+    assert {name: snap[name] for name in cls.GAUGES} == gauges
+    assert all(snap[name] == 0 for name in _counter_names(cls))
+    with pytest.raises(TypeError):
+        stats.add(**{next(iter(cls.GAUGES)): 1})
 
 
 class TestFaultPathStats:
@@ -158,3 +255,24 @@ class TestPoolStats:
         stats.record_reused("x", "y")
         pair = stats.pair("x", "y")
         assert (pair.created, pair.reused) == (1, 1)
+
+
+class TestNetworkStats:
+    def test_concurrent_records_are_exact(self):
+        stats = NetworkStats()
+
+        def worker():
+            for _ in range(PER_THREAD):
+                stats.record("a", "b", 10, 0.5)
+                stats.record("b", "a", 3, 0.25)
+                stats.record_drop("a", "b")
+                stats.record_rejected("a", "b")
+
+        _hammer(worker)
+        total = THREADS * PER_THREAD
+        assert stats.total_messages == 2 * total
+        assert stats.total_bytes == 13 * total
+        assert stats.total_transfer_seconds == 0.75 * total
+        assert stats.bytes_between("a", "b") == 13 * total
+        link = stats.link("a", "b")
+        assert (link.drops, link.rejected_disconnected) == (total, total)

@@ -22,7 +22,7 @@ class TestGcStats:
             pass
 
         probe = Probe()
-        stats.track_created()
+        stats.add(proxies_created=1)
         stats.track_resolved(probe)
         assert stats.proxies_created == 1
         assert stats.resolved_alive == 1

@@ -1,9 +1,8 @@
 """Tests for the striped Site runtime and its primitives.
 
-Three invariants carry the whole design: the routing function sends
-every oid to exactly one stripe, the striped stats facade is
-indistinguishable from one merged counter object, and concurrent table
-churn across 32 threads neither loses nor duplicates entries.
+Two invariants carry the whole design: the routing function sends
+every oid to exactly one stripe, and concurrent table churn across 32
+threads neither loses nor duplicates entries.
 """
 
 import threading
@@ -11,13 +10,8 @@ import threading
 import pytest
 
 from repro.core.meta import obi_id_of
-from repro.core.runtime import FaultPathStats, World
-from repro.core.striping import (
-    DEFAULT_STRIPES,
-    StripedStats,
-    StripeLock,
-    stripe_of,
-)
+from repro.core.runtime import World
+from repro.core.striping import DEFAULT_STRIPES, StripeLock, stripe_of
 from repro.util.errors import ReplicationError
 from tests.models import Box
 
@@ -93,54 +87,6 @@ class TestStripeLock:
         thread.join(timeout=5)
         waiter.join(timeout=5)
         assert lock.waits >= 1
-
-
-class TestStripedStats:
-    def test_merged_totals_equal_sum_of_per_stripe(self):
-        stats = StripedStats(FaultPathStats, 8)
-        for i in range(200):
-            stats.add(oid=f"obj:{i}", demands_batched=1, prefetch_hits=i % 3)
-        merged = stats.snapshot()
-        shards = stats.per_stripe()
-        assert len(shards) == 8
-        for field in merged:
-            assert merged[field] == sum(shard[field] for shard in shards)
-        assert merged["demands_batched"] == 200
-
-    def test_attribute_reads_sum_across_shards(self):
-        stats = StripedStats(FaultPathStats, 4)
-        stats.add(oid="obj:1", coalesced_faults=2)
-        stats.add(oid="obj:2", coalesced_faults=3)
-        assert stats.coalesced_faults == 5
-
-    def test_keyed_add_lands_on_routed_shard(self):
-        stats = StripedStats(FaultPathStats, 8)
-        oid = "obj:42"
-        stats.add(oid=oid, prefetch_hits=7)
-        shards = stats.per_stripe()
-        owner = stripe_of(oid, 8)
-        assert shards[owner]["prefetch_hits"] == 7
-        assert all(
-            shard["prefetch_hits"] == 0
-            for idx, shard in enumerate(shards)
-            if idx != owner
-        )
-
-    def test_reset_returns_totals_and_zeroes(self):
-        stats = StripedStats(FaultPathStats, 4)
-        stats.add(oid="obj:9", demands_batched=5)
-        before = stats.reset()
-        assert before["demands_batched"] == 5
-        assert stats.snapshot()["demands_batched"] == 0
-
-    def test_unknown_counter_raises(self):
-        stats = StripedStats(FaultPathStats, 2)
-        with pytest.raises(AttributeError):
-            stats.no_such_counter
-
-    def test_zero_stripes_rejected(self):
-        with pytest.raises(ValueError):
-            StripedStats(FaultPathStats, 0)
 
 
 class TestConcurrentChurn:
