@@ -367,28 +367,24 @@ def cmd_memory_study() -> None:
 def cmd_connection_scale() -> None:
     from repro.bench.connection_scale import connection_scale_report
 
-    print("P9 — connection scale: reactor vs thread-per-connection (wall clock)")
+    print("P9 — connection scale on the reactor transport (wall clock)")
     report = connection_scale_report()
-    sustain, race = report.sustain, report.race
+    sustain, fanout = report.sustain, report.fanout
     print(
         render_table(
             ["phase", "connections", "result"],
             [
                 [
-                    "sustain (reactor)",
+                    "sustain",
                     sustain.connections,
                     f"{sustain.wall_ms:.0f} ms, peak {sustain.open_at_peak} open, "
                     f"loop lag max {sustain.loop_lag_max_ms:.2f} ms",
                 ],
                 [
-                    "race (threaded)",
-                    race.connections,
-                    f"{race.threaded_ms:.0f} ms for {race.requests_per_consumer} req/consumer",
-                ],
-                [
-                    "race (reactor)",
-                    race.connections,
-                    f"{race.reactor_ms:.0f} ms -> {race.speedup:.2f}x",
+                    "fan-out",
+                    fanout.connections,
+                    f"{fanout.wall_ms:.0f} ms for {fanout.requests_per_consumer} "
+                    f"req/consumer, in-flight depth {fanout.in_flight_high_water}",
                 ],
             ],
         )

@@ -286,7 +286,7 @@ def ablate_transport(*, length: int = 50, object_size: int = 256) -> list[Transp
     for name, factory in (
         ("loopback-sim", World.loopback),
         ("threaded", World.threaded),
-        ("tcp", World.tcp),
+        ("reactor", World.reactor),
     ):
         world = factory()
         try:

@@ -66,7 +66,6 @@ from repro.simnet.link import LAN_10MBPS, Link
 from repro.simnet.loopback import LoopbackNetwork
 from repro.simnet.network import Network
 from repro.simnet.reactor import ReactorNetwork
-from repro.simnet.tcp import TcpNetwork
 from repro.simnet.threaded import ThreadedNetwork
 from repro.util.clock import Clock, SimClock, WallClock
 from repro.util.counters import Counters
@@ -1166,33 +1165,14 @@ class World:
         return cls(network, costs=costs if costs is not None else CostModel.zero())
 
     @classmethod
-    def tcp(
-        cls,
-        *,
-        link: Link = LAN_10MBPS,
-        costs: CostModel | None = None,
-        network: str = "pooled",
-    ) -> "World":
+    def reactor(cls, *, link: Link = LAN_10MBPS, costs: CostModel | None = None) -> "World":
         """Localhost-TCP world — the closest analogue of RMI over a LAN.
 
-        ``network`` selects the transport: ``"pooled"`` (default) is the
-        thread-per-connection backend; ``"reactor"`` is the
-        single-event-loop obireactor with frame pipelining.
+        Every site's listener and every channel run on one event loop
+        with frame pipelining (see :mod:`repro.simnet.reactor`).
         """
-        if network == "pooled":
-            net: Network = TcpNetwork(WallClock(), default_link=link)
-        elif network == "reactor":
-            net = ReactorNetwork(WallClock(), default_link=link)
-        else:
-            raise ValueError(
-                f"unknown tcp network {network!r}: expected 'pooled' or 'reactor'"
-            )
-        return cls(net, costs=costs if costs is not None else CostModel.zero())
-
-    @classmethod
-    def reactor(cls, *, link: Link = LAN_10MBPS, costs: CostModel | None = None) -> "World":
-        """Shorthand for ``World.tcp(network="reactor")``."""
-        return cls.tcp(link=link, costs=costs, network="reactor")
+        network = ReactorNetwork(WallClock(), default_link=link)
+        return cls(network, costs=costs if costs is not None else CostModel.zero())
 
     # ------------------------------------------------------------------
     # site management

@@ -132,9 +132,6 @@ class TelemetrySnapshot:
     demands_batched: int
     prefetch_hits: int
     coalesced_faults: int
-    #: Pooled-TCP reuse attributed to this site as caller; 0 on transports
-    #: without a connection pool.
-    connections_reused: int
     #: Delta-sync counters (see :class:`SyncPathStats`).
     puts_delta: int
     puts_full: int
@@ -193,8 +190,7 @@ class TelemetrySnapshot:
             f"{self.proxies_collected} collected\n"
             f"  fastpath: {self.demands_batched} batched demands, "
             f"{self.prefetch_hits} prefetch hits, "
-            f"{self.coalesced_faults} coalesced faults, "
-            f"{self.connections_reused} connections reused\n"
+            f"{self.coalesced_faults} coalesced faults\n"
             f"  deltasync: {self.puts_delta} delta / {self.puts_full} full / "
             f"{self.puts_noop} no-op puts, "
             f"{self.refreshes_delta} delta / {self.refreshes_full} full refreshes, "
@@ -245,10 +241,6 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
             bytes_received += link.bytes
             messages_received += link.messages
 
-    pool_stats = getattr(site.world.network, "pool_stats", None)
-    connections_reused = (
-        pool_stats.reused_from(site.name) if pool_stats is not None else 0
-    )
     reactor_stats = getattr(site.world.network, "reactor_stats", None) or ReactorStats()
     reactor = reactor_stats.snapshot()
     fault = site.fault_stats.snapshot()
@@ -282,7 +274,6 @@ def snapshot(site: "Site") -> TelemetrySnapshot:
         demands_batched=fault["demands_batched"],
         prefetch_hits=fault["prefetch_hits"],
         coalesced_faults=fault["coalesced_faults"],
-        connections_reused=connections_reused,
         puts_delta=sync["puts_delta"],
         puts_full=sync["puts_full"],
         puts_noop=sync["puts_noop"],

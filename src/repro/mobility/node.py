@@ -40,10 +40,12 @@ class MobileNode:
     # hoarding
     # ------------------------------------------------------------------
     def hoard(self, name: str, mode: ReplicationMode | None = None) -> object:
-        """Replicate-and-pin ``name`` for offline use; baseline-tracked."""
-        replica = self.hoard_store.hoard(name, mode)
-        self.reconciler.track(replica)
-        return replica
+        """Replicate-and-pin ``name`` for offline use.
+
+        The reconciler records a baseline for every replica the hoard
+        brings in, through the site's ``replica_registered`` event.
+        """
+        return self.hoard_store.hoard(name, mode)
 
     def prefetch(self, root: object) -> int:
         """Resolve all pending faults under ``root`` while still online."""

@@ -32,6 +32,7 @@ from repro.serial.encoder import Encoder
 from repro.serial.swizzle import SwizzleDescriptor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.packages import ReplicaPackage
     from repro.core.runtime import Site
 
 
@@ -152,11 +153,13 @@ class Reconciler:
             dict(vars(replica))
         )
 
-    def _on_registered(self, *, site: "Site", root: object, package: object) -> None:
-        # Every object that just arrived is by definition in sync.
-        oid = obi_id_of(root) if hasattr(root, "__dict__") else None
-        if oid is not None and site.replica_info(oid) is not None:
-            self.track(root)
+    def _on_registered(self, *, site: "Site", root: object, package: "ReplicaPackage") -> None:
+        # Every object that just arrived is by definition in sync — the
+        # root and every other member of the package alike.
+        for oid in package.meta:
+            record = site.replica_info(oid)
+            if record is not None:
+                self.track(record.obj)
 
     def _on_refreshed(self, *, site: "Site", replica: object) -> None:
         self.track(replica)

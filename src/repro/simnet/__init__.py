@@ -11,9 +11,10 @@ transports:
 :class:`~repro.simnet.threaded.ThreadedNetwork`
     Real threads and queues, one dispatcher per site — proves the
     middleware works under genuine concurrency.
-:class:`~repro.simnet.tcp.TcpNetwork`
-    Length-prefixed frames over localhost TCP sockets — the closest
-    analogue of the paper's RMI-over-LAN deployment.
+:class:`~repro.simnet.reactor.ReactorNetwork`
+    Length-prefixed, pipelined frames over localhost TCP sockets, every
+    socket on one event loop — the closest analogue of the paper's
+    RMI-over-LAN deployment.
 
 All transports share partition/disconnection injection (the mobility
 scenarios of the paper) and per-link traffic statistics.
@@ -31,8 +32,8 @@ from repro.simnet.loopback import LoopbackNetwork
 from repro.simnet.message import Message, MessageKind
 from repro.simnet.network import Endpoint, Network
 from repro.simnet.partition import ConnectivityMap
+from repro.simnet.reactor import ReactorNetwork
 from repro.simnet.stats import LinkStats, NetworkStats
-from repro.simnet.tcp import TcpNetwork
 from repro.simnet.threaded import ThreadedNetwork
 
 __all__ = [
@@ -51,5 +52,5 @@ __all__ = [
     "LinkStats",
     "LoopbackNetwork",
     "ThreadedNetwork",
-    "TcpNetwork",
+    "ReactorNetwork",
 ]

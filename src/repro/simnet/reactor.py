@@ -1,9 +1,13 @@
 """obireactor: single-event-loop TCP transport with frame pipelining.
 
-``TcpNetwork`` burns one thread per server connection and allows one
-in-flight frame per socket — fine for a handful of sites, fatal for the
-ROADMAP's "one provider, tens of thousands of mobile consumers" target.
-:class:`ReactorNetwork` replaces that with the classic reactor shape:
+The closest analogue of the paper's RMI-over-LAN deployment: frames
+really cross the operating system's socket layer.  Each attached site
+binds a listening socket on ``127.0.0.1``, and the in-process network
+object doubles as the port directory.  Connectivity (disconnections,
+partitions) is still enforced — a "disconnected" mobile site refuses
+traffic even though the socket would physically work.
+:class:`ReactorNetwork` has the classic reactor shape, so one provider
+can hold thousands of consumer connections without a thread apiece:
 
 * **one event loop per process** owns every socket — listeners, inbound
   server connections and outbound pipelined channels — through a
@@ -25,9 +29,8 @@ One wire format
 
 Every peer ships from this tree, so there is nothing to negotiate: a
 reactor server speaks ``PREQUEST`` and ``CAST`` and nothing else.  A
-connection that sends any other frame kind — the one-frame-per-exchange
-``REQUEST`` of a plain :class:`~repro.simnet.tcp.TcpNetwork` client, say
-— is dropped, and the client sees a :class:`TransportError`.
+connection that sends any other frame kind — a legacy one-frame-per-exchange
+``REQUEST`` (kind 1), say — is dropped without a reply.
 
 Flow control
 ------------
@@ -63,18 +66,19 @@ from typing import Callable, TypeVar
 
 from repro.obs.context import annotate
 from repro.simnet.message import Message, MessageKind
-from repro.simnet.network import PendingReply
-from repro.simnet.tcp import _HEADER, _KIND_CODES, TcpNetwork, _close_quietly
+from repro.simnet.network import Network, PendingReply
 from repro.util.counters import Counters
 from repro.util.errors import TransportError
 
-#: Pipelined frame kinds.  The threaded transport's codec (kinds 1–4)
-#: does not know them; the reactor speaks these plus ``CAST``.
+#: Frame header: kind code, payload length.
+_HEADER = struct.Struct("!B I")
+
+#: The frame kinds the reactor speaks; a connection that sends any other
+#: kind (1, 2 or 4, say) is dropped.
+_CAST = 3
 _PREQUEST = 5
 _PRESPONSE = 6
 _PERROR = 7
-
-_CAST = _KIND_CODES[MessageKind.CAST]
 
 _T = TypeVar("_T")
 
@@ -747,12 +751,11 @@ class _ReactorLoop(threading.Thread):
         return commands
 
 
-class ReactorNetwork(TcpNetwork):
+class ReactorNetwork(Network):
     """Single-event-loop TCP transport with frame pipelining.
 
-    Subclasses :class:`TcpNetwork` for the port directory, routing and
-    lifecycle it keeps; every request and cast rides a pipelined channel
-    from the first call, so the inherited pooled exchange never runs.
+    Every request and cast rides a pipelined ``src -> dst`` channel from
+    the first call.
     """
 
     def __init__(
@@ -763,7 +766,10 @@ class ReactorNetwork(TcpNetwork):
         write_high_water: int = WRITE_HIGH_WATER,
         **kwargs: object,
     ):
-        super().__init__(*args, timeout=timeout, **kwargs)
+        super().__init__(*args, **kwargs)  # type: ignore[arg-type]
+        self._timeout = timeout
+        self._ports: dict[str, int] = {}
+        self._servers: dict[str, socket.socket] = {}
         self.reactor_stats = ReactorStats()
         self.write_high_water = write_high_water
         self.dispatch_pool = _DispatchPool(max_dispatch_threads)
@@ -834,7 +840,9 @@ class ReactorNetwork(TcpNetwork):
                 del self._channels[(channel.src, channel.dst)]
 
     def close(self) -> None:
-        super().close()  # detaches every site through _on_detach
+        super().close()
+        for site_id in list(self._servers):
+            self._on_detach(site_id)
         with self._channels_lock:
             leftovers = list(self._channels.values())
             self._channels.clear()
@@ -843,6 +851,13 @@ class ReactorNetwork(TcpNetwork):
             self._loop.post_and_wait(lambda ch=channel: ch.teardown(failure))
         self._loop.stop()
         self.dispatch_pool.close()
+
+    def port_of(self, site_id: str) -> int:
+        """The TCP port a site listens on (useful for diagnostics)."""
+        try:
+            return self._ports[site_id]
+        except KeyError:
+            raise TransportError(f"no site {site_id!r} attached to this network") from None
 
     # ------------------------------------------------------------------
     # client side
@@ -933,3 +948,10 @@ class ReactorNetwork(TcpNetwork):
             lambda: self._loop.register(sock, interest, fresh.on_events)
         )
         return fresh
+
+
+def _close_quietly(sock: socket.socket) -> None:
+    try:
+        sock.close()
+    except OSError:
+        pass

@@ -340,7 +340,7 @@ class TestClusterPutBack:
         assert consumer.sync_stats.puts_full == 1
 
     def test_cluster_delta_put_over_tcp(self):
-        with World.tcp() as world:
+        with World.reactor() as world:
             provider = world.create_site("P")
             consumer = world.create_site("C")
             provider.delta_sync = True

@@ -1,5 +1,5 @@
 """Counter semantics under concurrency: the ``Counters`` contract, and the
-``PoolStats``/``NetworkStats`` pair tables built on it.
+``NetworkStats`` pair table built on it.
 
 The fault path exists because resolution is concurrent, so its own
 bookkeeping must be exact under the same concurrency: N threads adding
@@ -20,7 +20,6 @@ from repro.core.runtime import FaultPathStats
 from repro.core.telemetry import FeedStats, SerialPathStats, SyncPathStats
 from repro.simnet.reactor import ReactorStats
 from repro.simnet.stats import LinkStats, NetworkStats
-from repro.simnet.tcp import PoolStats, _PairPoolStats
 from repro.util.counters import Counters
 
 THREADS = 8
@@ -33,7 +32,6 @@ COUNTER_TYPES = [
     FeedStats,
     ReactorStats,
     LinkStats,
-    _PairPoolStats,
     GcStats,
 ]
 
@@ -231,30 +229,6 @@ class TestFaultPathStats:
         for thread in threads:
             thread.join()
         assert torn == []
-
-
-class TestPoolStats:
-    def test_concurrent_records_are_exact(self):
-        stats = PoolStats()
-
-        def worker():
-            for _ in range(PER_THREAD):
-                stats.record_created("a", "b")
-                stats.record_reused("a", "b")
-                stats.record_reused("b", "a")
-
-        _hammer(worker)
-        assert stats.total_created == THREADS * PER_THREAD
-        assert stats.total_reused == 2 * THREADS * PER_THREAD
-        assert stats.reused_from("a") == THREADS * PER_THREAD
-        assert stats.reused_from("b") == THREADS * PER_THREAD
-
-    def test_pair_view_matches_records(self):
-        stats = PoolStats()
-        stats.record_created("x", "y")
-        stats.record_reused("x", "y")
-        pair = stats.pair("x", "y")
-        assert (pair.created, pair.reused) == (1, 1)
 
 
 class TestNetworkStats:

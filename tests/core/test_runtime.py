@@ -40,7 +40,7 @@ class TestWorld:
             consumer.put_back(replica)
 
     def test_tcp_world_end_to_end(self):
-        with World.tcp() as world:
+        with World.reactor() as world:
             provider = world.create_site("p")
             consumer = world.create_site("c")
             provider.export(Counter(7), name="counter")

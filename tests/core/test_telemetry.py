@@ -118,7 +118,7 @@ GOLDEN_RENDER = """\
 site P @ t=0.024s
   objects : 5 masters, 0 replicas (0 updatable, 0 cluster members), 0 pending proxies
   faults  : 0 resolved of 0 proxies created; 0 collected
-  fastpath: 0 batched demands, 0 prefetch hits, 0 coalesced faults, 0 connections reused
+  fastpath: 0 batched demands, 0 prefetch hits, 0 coalesced faults
   deltasync: 0 delta / 0 full / 0 no-op puts, 0 delta / 0 full refreshes, 0 NEED_FULL downgrades, ~0 B saved
   stripes : 16 stripes, 0 acquire waits, max depth 1
   serial  : 0 fast / 5 reflective encodes, 0 fast decodes, <ns> ns encoding, <ns> ns decoding
@@ -129,7 +129,7 @@ site P @ t=0.024s
 site F @ t=0.024s
   objects : 2 masters, 0 replicas (0 updatable, 0 cluster members), 1 pending proxies
   faults  : 0 resolved of 1 proxies created; 0 collected
-  fastpath: 0 batched demands, 0 prefetch hits, 0 coalesced faults, 0 connections reused
+  fastpath: 0 batched demands, 0 prefetch hits, 0 coalesced faults
   deltasync: 0 delta / 0 full / 0 no-op puts, 0 delta / 0 full refreshes, 0 NEED_FULL downgrades, ~0 B saved
   stripes : 16 stripes, 0 acquire waits, max depth 1
   serial  : 0 fast / 0 reflective encodes, 0 fast decodes, <ns> ns encoding, <ns> ns decoding
@@ -140,7 +140,7 @@ site F @ t=0.024s
 site C @ t=0.024s
   objects : 0 masters, 3 replicas (3 updatable, 0 cluster members), 1 pending proxies
   faults  : 1 resolved of 2 proxies created; 1 collected
-  fastpath: 1 batched demands, 1 prefetch hits, 0 coalesced faults, 0 connections reused
+  fastpath: 1 batched demands, 1 prefetch hits, 0 coalesced faults
   deltasync: 0 delta / 1 full / 0 no-op puts, 0 delta / 0 full refreshes, 0 NEED_FULL downgrades, ~0 B saved
   stripes : 16 stripes, 0 acquire waits, max depth 1
   serial  : 0 fast / 0 reflective encodes, 0 fast decodes, <ns> ns encoding, <ns> ns decoding

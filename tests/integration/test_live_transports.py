@@ -17,7 +17,7 @@ from tests.models import Counter, chain_indices, make_chain
 
 @pytest.fixture(params=["threaded", "tcp"])
 def live_world(request):
-    factory = World.threaded if request.param == "threaded" else World.tcp
+    factory = World.threaded if request.param == "threaded" else World.reactor
     with factory() as world:
         yield world
 
@@ -81,7 +81,7 @@ def test_concurrent_consumers_threaded():
 
 def test_mobility_over_tcp():
     """Disconnection is a logical state, honoured even on real sockets."""
-    with World.tcp() as world:
+    with World.reactor() as world:
         office = world.create_site("office")
         pda_site = world.create_site("pda")
         office.export(Counter(1), name="counter")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.meta import obi_id_of
 from repro.mobility.reconcile import (
     ReconcileAction,
     Reconciler,
@@ -127,3 +128,18 @@ class TestEndToEndScenario:
         assert report.conflicts != []
         final = node.reconciler.reconcile(on_conflict=keep_local)
         assert master.value == 5
+
+    def test_offline_edit_to_a_non_root_member_is_pushed(self, mobile):
+        """Every replica in a hoarded graph gets a baseline, not only the
+        root: an offline edit to the second node of a chain reaches its
+        master on reconnect."""
+        _w, office, node, _master = mobile
+        head = node.hoard("chain")
+        second = head.get_next()
+        node.go_offline(voluntary=True)
+        second.set_index(99)
+        report = node.go_online()
+        assert report is not None
+        assert report.count(ReconcileAction.PUSHED) == 1
+        assert report.count(ReconcileAction.UP_TO_DATE) == 4
+        assert office.master_object_for(obi_id_of(second)).index == 99

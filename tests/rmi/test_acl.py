@@ -136,7 +136,7 @@ class TestGuardOverLiveTransport:
     def test_security_error_crosses_tcp(self):
         from repro.core.runtime import World
 
-        with World.tcp() as world:
+        with World.reactor() as world:
             provider = world.create_site("P")
             stranger = world.create_site("X")
             master = Counter(0)

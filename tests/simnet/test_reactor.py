@@ -1,5 +1,8 @@
 """Tests for the obireactor transport: loop, pipelining, wire format."""
 
+import os
+import socket
+import struct
 import threading
 import time
 
@@ -14,9 +17,8 @@ from repro.simnet.reactor import (
     _FrameParser,
     _pack_frame,
 )
-from repro.simnet.tcp import TcpNetwork
 from repro.util.clock import WallClock
-from repro.util.errors import TransportError
+from repro.util.errors import DisconnectedError, TransportError
 
 
 @pytest.fixture
@@ -72,7 +74,6 @@ class TestBasics:
         for i in range(9):
             net.call("a", "b", b"n%d" % i)
         assert net.reactor_stats.snapshot()["frames_pipelined"] == 10
-        assert net.pool_stats.total_created == 0  # the pooled path never ran
 
     def test_large_payload_roundtrip(self, net):
         net.attach("a", lambda m: None)
@@ -80,6 +81,19 @@ class TestBasics:
         blob = bytes(range(256)) * 4096  # 1 MiB
         assert net.call("a", "b", blob) == b"echo:" + blob
         assert net.call("a", "b", blob) == b"echo:" + blob  # warm channel
+
+    def test_binary_safety(self, net):
+        net.attach("a", lambda m: None)
+        net.attach("b", lambda m: m.payload[::-1])
+        payload = b"\x00\x01\xff\xfe\n\r\0"
+        assert net.call("a", "b", payload) == payload[::-1]
+
+    def test_each_site_gets_a_port(self, net):
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        assert net.port_of("a") != net.port_of("b")
+        with pytest.raises(TransportError):
+            net.port_of("ghost")
 
     def test_handler_exception_reported(self, net):
         net.attach("a", lambda m: None)
@@ -112,7 +126,6 @@ class TestBasics:
         net.cast("a", "b", b"warm-channel")
         assert done.wait(5.0)
         assert set(received) == {b"cold-channel", b"warm-channel"}
-        assert net.pool_stats.total_created == 0
 
     def test_nested_rmi_from_handler(self, net):
         """Dispatch runs off the loop thread, so a handler can call back
@@ -137,6 +150,25 @@ class TestBasics:
             net.call("a", "b", b"gone")
         net.attach("b", _echo)
         assert net.call("a", "b", b"two") == b"echo:two"
+
+
+class TestFailureModes:
+    def test_detached_site_unreachable(self, net):
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        net.detach("b")
+        with pytest.raises(TransportError):
+            net.call("a", "b", b"x")
+
+    def test_logical_disconnection_enforced(self, net):
+        """A 'mobile' site refuses traffic even though the socket works."""
+        net.attach("a", lambda m: None)
+        net.attach("b", _echo)
+        net.disconnect("b", voluntary=True)
+        with pytest.raises(DisconnectedError):
+            net.call("a", "b", b"x")
+        net.reconnect("b")
+        assert net.call("a", "b", b"y") == b"echo:y"
 
 
 class TestPipelinedSemantics:
@@ -239,25 +271,31 @@ class TestPipelinedSemantics:
 
 
 class TestOneWireFormat:
-    def test_plain_tcp_client_is_refused(self):
-        """A threaded TcpNetwork client writes one-frame-per-exchange
-        REQUEST frames, a kind the reactor does not speak: the listener
-        drops that connection and keeps serving pipelined channels."""
-        server_net = ReactorNetwork(WallClock())
-        client_net = TcpNetwork(WallClock(), timeout=5.0)
-        try:
-            server_net.attach("provider", _echo)
-            server_net.attach("consumer", lambda m: None)
-            client_net.attach("plain", lambda m: None)
-            # Point the client's port directory at the reactor's listener.
-            client_net._ports["provider"] = server_net.port_of("provider")
-            client_net._handlers["provider"] = _echo  # route check only
-            with pytest.raises(TransportError):
-                client_net.call("plain", "provider", b"hi")
-            assert server_net.call("consumer", "provider", b"hi") == b"echo:hi"
-        finally:
-            client_net.close()
-            server_net.close()
+    def test_plain_tcp_client_is_refused(self, net):
+        """A legacy one-frame-per-exchange REQUEST frame (kind 1) is a
+        kind the reactor does not speak: the listener drops that
+        connection and keeps serving pipelined channels."""
+        net.attach("provider", _echo)
+        net.attach("consumer", lambda m: None)
+        rid, src, dst, payload = b"req:1", b"plain", b"provider", b"hi"
+        frame = (
+            struct.pack("!B I", 1, len(payload))
+            + struct.pack("!HHH", len(rid), len(src), len(dst))
+            + rid
+            + src
+            + dst
+            + payload
+        )
+        with socket.create_connection(("127.0.0.1", net.port_of("provider")), timeout=5.0) as raw:
+            raw.sendall(frame)
+            try:
+                assert raw.recv(4096) == b""  # closed without a reply
+            except ConnectionResetError:
+                pass  # or reset: either way, no reply
+        assert net.call("consumer", "provider", b"hi") == b"echo:hi"
+        replies = [net.submit("consumer", "provider", b"p%d" % i) for i in range(4)]
+        for i, reply in enumerate(replies):
+            assert reply.result(5.0) == b"echo:p%d" % i
 
 
 class TestBackpressure:
@@ -330,3 +368,49 @@ class TestLifecycle:
             t.join()
         assert not errors
         assert len(results) == 30
+
+    def test_close_under_load_leaks_no_fds(self):
+        """Hammer a network with calls while detaching sites, then close;
+        every socket, the loop and every dispatch worker must be reclaimed."""
+        baseline = _open_fds()
+        stop = threading.Event()
+        for _round in range(3):
+            net = ReactorNetwork(WallClock())
+            net.attach("server", _echo)
+
+            def client(name, network=net):
+                network.attach(name, lambda m: None)
+                while not stop.is_set():
+                    try:
+                        network.call(name, "server", b"x", timeout=2.0)
+                    except TransportError:
+                        return  # server detached/closed under us: expected
+
+            threads = [
+                threading.Thread(target=client, args=(f"c{i}",), daemon=True)
+                for i in range(4)
+            ]
+            for t in threads:
+                t.start()
+            # Let some traffic flow, then tear down mid-flight.
+            deadline = 50
+            while net.reactor_stats.snapshot()["frames_pipelined"] < 8:
+                deadline -= 1
+                if deadline <= 0:
+                    break
+                threading.Event().wait(0.01)
+            net.detach("server")
+            stop.set()
+            for t in threads:
+                t.join(timeout=5.0)
+            net.close()
+            stop.clear()
+            assert not net._loop.is_alive()
+        # Allow a little slack for interpreter-internal fds, but channels,
+        # server connections, listeners and wakers (dozens across three
+        # rounds) must be gone.
+        assert _open_fds() <= baseline + 3
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
